@@ -2,7 +2,8 @@
 // (internal/bench) and writes the results as one JSON report. Each PR
 // checks in a full report as BENCH_<pr>.json; CI runs the quick matrix
 // as a smoke test and validates the report's invariants (schema,
-// complete matrix, zero-allocation arrival pump).
+// complete matrix, zero-allocation arrival path, machine and fleet
+// runs).
 //
 // Usage:
 //

@@ -9,14 +9,16 @@ import (
 )
 
 // Hotalloc enforces the zero-alloc discipline on functions marked
-// `//simvet:hotpath` (the wheel push/pop, the arrival pump, admission
-// lanes, obs recorders, the rack router Route methods). Inside a
-// marked function it flags the three constructs that put allocations
-// on a per-event path:
+// `//simvet:hotpath` (the wheel push/pop, every machine's event
+// handlers and the step, dispatch and complete functions they call,
+// the arrival pump, admission lanes, obs recorders, the rack router
+// Route methods). Inside a marked function it flags the three
+// constructs that put allocations on a per-event path:
 //
 //   - function literals capturing enclosing locals — each evaluation
-//     allocates a closure (hoist the closure to construction time and
-//     reuse it, as cluster.NewPump does with its one pumpFn);
+//     allocates a closure (schedule a resource that implements
+//     sim.Handler instead, keeping the state in its fields, as
+//     cluster.Pump and every machine's worker cores do);
 //   - interface boxing of concrete values — any(x)/interface{}(x)
 //     conversions, interface-typed var declarations with a concrete
 //     initializer, and fmt/log calls (their variadic ...any boxes
@@ -138,7 +140,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl, pkgNames map[string]bool) {
 			captured := closureCaptures(s, enclosing, pkgNames)
 			if len(captured) > 0 {
 				report(s.Pos(), "closure",
-					"hoist the closure to construction time and reuse it (see cluster.NewPump's single pumpFn), or pass the state as an argument",
+					"make the event target a resource implementing sim.Handler that keeps the state in its fields (see cluster.Pump.Fire), or pass the state as an argument",
 					"function literal captures %s; each evaluation allocates a closure", strings.Join(captured, ", "))
 			}
 			return false // captures inside nested literals belong to the literal

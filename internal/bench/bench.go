@@ -106,10 +106,24 @@ func Run(opt Options) *Report {
 	return r
 }
 
+// zeroAllocBenches are the matrix entries whose steady state must not
+// allocate: Validate requires their allocsPerOpInt (allocations per
+// arrival, draw or engine event, truncated) to be 0. A closure or a
+// boxed value on any of these hot paths costs at least one allocation
+// per operation and fails the report.
+var zeroAllocBenches = []string{
+	"kernel/arrival-pump",
+	"workload/arrival-stream",
+	"machine/tq-run",
+	"machine/shinjuku-run",
+	"rack/fleet-run",
+}
+
 // Validate checks a report's structural and semantic invariants: the
 // schema tag, a complete matrix in order, positive measurements, and
-// the kernel arrival pump's zero-allocation guarantee. CI's bench smoke
-// step runs it against the quick report.
+// the zero-allocation guarantee of the arrival path and of full machine
+// and fleet runs. CI's bench smoke step runs it against the quick
+// report.
 func Validate(r *Report) error {
 	if r.Schema != Schema {
 		return fmt.Errorf("schema %q, want %q", r.Schema, Schema)
@@ -128,13 +142,10 @@ func Validate(r *Report) error {
 			return fmt.Errorf("%s: negative allocs/op %f", b.Name, b.AllocsPerOp)
 		}
 	}
-	if pump := find(r, "kernel/arrival-pump"); pump.AllocsInt != 0 {
-		return fmt.Errorf("kernel/arrival-pump allocates: %d allocs/op (exact %f), want 0",
-			pump.AllocsInt, pump.AllocsPerOp)
-	}
-	if s := find(r, "workload/arrival-stream"); s.AllocsInt != 0 {
-		return fmt.Errorf("workload/arrival-stream allocates: %d allocs/op (exact %f), want 0",
-			s.AllocsInt, s.AllocsPerOp)
+	for _, name := range zeroAllocBenches {
+		if b := find(r, name); b.AllocsInt != 0 {
+			return fmt.Errorf("%s allocates: %d allocs/op (exact %f), want 0", name, b.AllocsInt, b.AllocsPerOp)
+		}
 	}
 	return nil
 }

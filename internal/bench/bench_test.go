@@ -31,13 +31,18 @@ func TestValidateRejections(t *testing.T) {
 		{"out of order", func(r *Report) { r.Benches[0], r.Benches[1] = r.Benches[1], r.Benches[0] }},
 		{"zero n", func(r *Report) { r.Benches[0].N = 0 }},
 		{"negative allocs", func(r *Report) { r.Benches[0].AllocsPerOp = -1 }},
-		{"pump allocates", func(r *Report) {
+	}
+	for _, name := range zeroAllocBenches {
+		cases = append(cases, struct {
+			name   string
+			break_ func(*Report)
+		}{name + " allocates", func(r *Report) {
 			for i := range r.Benches {
-				if r.Benches[i].Name == "kernel/arrival-pump" {
-					r.Benches[i].AllocsInt = 2
+				if r.Benches[i].Name == name {
+					r.Benches[i].AllocsInt = 1
 				}
 			}
-		}},
+		}})
 	}
 	for _, c := range cases {
 		r := goodReport()

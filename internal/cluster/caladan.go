@@ -80,9 +80,64 @@ func NewCaladan(p CaladanParams) *Caladan {
 // Name implements Machine.
 func (c *Caladan) Name() string { return "Caladan-" + c.P.Mode.String() }
 
+// calWorker is one worker core and the target of its events. A busy
+// worker has exactly one event in flight for job j: the end of a steal
+// (stealing set) after which j starts, or j's completion.
 type calWorker struct {
-	queue core.FIFO[*job]
-	busy  bool
+	r        *calRun
+	w        int
+	queue    core.FIFO[*job]
+	busy     bool
+	j        *job
+	stealing bool
+}
+
+// Fire implements sim.Handler.
+//
+//simvet:hotpath
+func (wk *calWorker) Fire(sim.EventID) {
+	if wk.stealing {
+		wk.stealing = false
+		wk.r.runJob(wk.w, wk.j)
+		return
+	}
+	wk.r.complete(wk)
+}
+
+// iokPacket is a request the IOKernel holds: its RX lane and the
+// worker RSS steered it to.
+type iokPacket struct {
+	j       *job
+	lane, w int
+}
+
+// calIOKernel is the IOKernel core, a serial server between NIC and
+// workers: each packet direction costs IOKCost, and forwarded requests
+// leave in arrival order, so the pending FIFO's head is always the
+// packet whose forwarding event fires next.
+type calIOKernel struct {
+	r         *calRun
+	busyUntil sim.Time
+	pending   core.FIFO[iokPacket]
+}
+
+// occupy books one packet's worth of IOKernel time and returns when
+// the IOKernel is done with it.
+func (k *calIOKernel) occupy(now, cost sim.Time) sim.Time {
+	if k.busyUntil < now {
+		k.busyUntil = now
+	}
+	k.busyUntil += cost
+	return k.busyUntil
+}
+
+// Fire implements sim.Handler: the IOKernel forwards the head packet.
+//
+//simvet:hotpath
+func (k *calIOKernel) Fire(sim.EventID) {
+	p, _ := k.pending.Pop()
+	k.r.adm.release(p.lane, p.j.tenant)
+	k.r.deliver(p.w, p.j)
 }
 
 type calRun struct {
@@ -93,8 +148,7 @@ type calRun struct {
 	idle    []int // idle worker indices (spinning, ready to steal)
 	rss     core.RSS
 	rand    *rng.Rand
-
-	iokBusyUntil sim.Time
+	iok     calIOKernel
 }
 
 // newRun builds the run struct and its RX bound: only the IOKernel is
@@ -112,8 +166,10 @@ func (c *Caladan) newRun(cfg RunConfig) (*calRun, int) {
 		limit = c.P.RXQueue
 	}
 	for w := range r.workers {
+		r.workers[w] = calWorker{r: r, w: w}
 		r.idle = append(r.idle, w)
 	}
+	r.iok.r = r
 	return r, limit
 }
 
@@ -150,15 +206,9 @@ func (r *calRun) inflate(s sim.Time) sim.Time {
 func (r *calRun) admit(lane int, j *job) {
 	w := r.rss.Steer(j.id, len(r.workers))
 	if r.m.P.Mode == IOKernel {
-		now := r.eng.Now()
-		if r.iokBusyUntil < now {
-			r.iokBusyUntil = now
-		}
-		r.iokBusyUntil += r.m.P.IOKCost
-		r.eng.At(r.iokBusyUntil, func() {
-			r.adm.release(lane, j.tenant)
-			r.deliver(w, j)
-		})
+		at := r.iok.occupy(r.eng.Now(), r.m.P.IOKCost)
+		r.iok.pending.Push(iokPacket{j: j, lane: lane, w: w})
+		r.eng.At(at, &r.iok)
 	} else {
 		r.deliver(w, j)
 	}
@@ -172,6 +222,8 @@ func (r *calRun) admit(lane int, j *job) {
 // Dispatch records where RSS (or the steal at delivery) bound the job;
 // under later stealing the quantum may run on a different core than
 // the one dispatched to, which the timeline shows faithfully.
+//
+//simvet:hotpath
 func (r *calRun) deliver(w int, j *job) {
 	wk := &r.workers[w]
 	if !wk.busy {
@@ -187,10 +239,8 @@ func (r *calRun) deliver(w int, j *job) {
 		thief := r.idle[i]
 		r.idle[i] = r.idle[len(r.idle)-1]
 		r.idle = r.idle[:len(r.idle)-1]
-		twk := &r.workers[thief]
-		twk.busy = true
 		r.met.emit(r.eng.Now(), obs.Dispatch, j.id, j.class, int32(thief))
-		r.eng.After(r.m.P.StealCost, func() { r.runJob(thief, j) })
+		r.steal(thief, j)
 		return
 	}
 	r.met.emit(r.eng.Now(), obs.Dispatch, j.id, j.class, int32(w))
@@ -207,31 +257,51 @@ func (r *calRun) removeIdle(w int) {
 	}
 }
 
+// steal has worker w take j from another core: j starts once the
+// steal latency has passed.
+//
+//simvet:hotpath
+func (r *calRun) steal(w int, j *job) {
+	wk := &r.workers[w]
+	wk.busy = true
+	wk.j, wk.stealing = j, true
+	r.eng.After(r.m.P.StealCost, wk)
+}
+
 // runJob executes j to completion on worker w (FCFS, no preemption):
 // exactly one quantum per task, ending in finish.
+//
+//simvet:hotpath
 func (r *calRun) runJob(w int, j *job) {
 	r.met.emit(r.eng.Now(), obs.QuantumStart, j.id, j.class, int32(w))
-	r.eng.After(j.remain, func() {
-		now := r.eng.Now()
-		r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
-		r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
-		r.met.record(j, r.eng.Now())
-		r.pool.put(j)
-		if r.m.P.Mode == IOKernel {
-			// Response transits the IOKernel; it does not block the
-			// worker, but consumes IOKernel capacity.
-			now := r.eng.Now()
-			if r.iokBusyUntil < now {
-				r.iokBusyUntil = now
-			}
-			r.iokBusyUntil += r.m.P.IOKCost
-		}
-		r.next(w)
-	})
+	wk := &r.workers[w]
+	wk.j = j
+	r.eng.After(j.remain, wk)
+}
+
+// complete retires the worker's job and moves on to its next one.
+//
+//simvet:hotpath
+func (r *calRun) complete(wk *calWorker) {
+	j := wk.j
+	wk.j = nil
+	now := r.eng.Now()
+	r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(wk.w))
+	r.met.emit(now, obs.Finish, j.id, j.class, int32(wk.w))
+	r.met.record(j, now)
+	r.pool.put(j)
+	if r.m.P.Mode == IOKernel {
+		// Response transits the IOKernel; it does not block the
+		// worker, but consumes IOKernel capacity.
+		r.iok.occupy(now, r.m.P.IOKCost)
+	}
+	r.next(wk.w)
 }
 
 // next finds the worker's next job: its own queue first, then stealing
 // from the most loaded victim, else it goes idle and spins.
+//
+//simvet:hotpath
 func (r *calRun) next(w int) {
 	wk := &r.workers[w]
 	if j, ok := wk.queue.Pop(); ok {
@@ -250,7 +320,7 @@ func (r *calRun) next(w int) {
 	}
 	if victim >= 0 {
 		j, _ := r.workers[victim].queue.Pop()
-		r.eng.After(r.m.P.StealCost, func() { r.runJob(w, j) })
+		r.steal(w, j)
 		return
 	}
 	wk.busy = false

@@ -58,13 +58,43 @@ type ctRun struct {
 	// free lists idle core indices. Worker identity is immaterial to the
 	// idealized model's results, but giving each core a stable index lets
 	// the machine share the per-core timeline vocabulary with the others.
-	free []int32
+	free  []int32
+	cores []ctCore
+}
+
+// ctCore is one serving core and the target of its events. A busy
+// core has exactly one event in flight: either the end of job j's
+// quantum of length slice, or — while next is set — the end of the
+// switch overhead before next mounts.
+type ctCore struct {
+	r     *ctRun
+	id    int32
+	j     *job
+	slice sim.Time
+	next  *job
+}
+
+// Fire implements sim.Handler.
+//
+//simvet:hotpath
+func (c *ctCore) Fire(sim.EventID) {
+	if next := c.next; next != nil {
+		c.next = nil
+		c.r.mount(next, c.id)
+		return
+	}
+	c.r.quantumEnd(c)
 }
 
 func (c *CentralizedPS) newRun(cfg RunConfig) *ctRun {
-	r := &ctRun{m: c, rank: newRanker(parseDiscipline(c.Discipline, pifo.RR), cfg)}
+	r := &ctRun{
+		m:     c,
+		rank:  newRanker(parseDiscipline(c.Discipline, pifo.RR), cfg),
+		cores: make([]ctCore, c.Workers),
+	}
 	for i := c.Workers - 1; i >= 0; i-- {
 		r.free = append(r.free, int32(i)) // pop from the end: core 0 first
+		r.cores[i] = ctCore{r: r, id: int32(i)}
 	}
 	return r
 }
@@ -104,6 +134,8 @@ func (r *ctRun) admit(_ int, j *job) {
 // dispatches the job (again, after a preemption) and its quantum opens.
 // Back-to-back quanta of the same job on the same core stay merged into
 // one open quantum — the core never actually switches.
+//
+//simvet:hotpath
 func (r *ctRun) mount(j *job, core int32) {
 	now := r.eng.Now()
 	r.met.emit(now, obs.Dispatch, j.id, j.class, core)
@@ -111,58 +143,71 @@ func (r *ctRun) mount(j *job, core int32) {
 	r.runQuantum(j, core)
 }
 
-// runQuantum executes one quantum of j on the given core and decides
-// what the core does next at the quantum boundary.
+// runQuantum executes one quantum of j on the given core; quantumEnd
+// decides what the core does next at the quantum boundary.
+//
+//simvet:hotpath
 func (r *ctRun) runQuantum(j *job, core int32) {
 	slice := j.remain
 	if slice > r.m.Quantum {
 		slice = r.m.Quantum
 	}
-	r.eng.After(slice, func() {
-		j.remain -= slice
-		now := r.eng.Now()
-		if j.remain <= 0 {
-			r.met.emit(now, obs.QuantumEnd, j.id, j.class, core)
-			r.met.emit(now, obs.Finish, j.id, j.class, core)
-			r.met.record(j, now)
-			r.pool.put(j)
-			if next, _, ok := r.queue.Pop(); ok {
-				r.mount(next, core)
-			} else {
-				r.free = append(r.free, core)
-			}
-			return
-		}
-		// The switch rule: yield the core iff the queue head ranks at or
-		// below the running job at this boundary. Under rr the head's
-		// rank is its (earlier) queue time, so the rule is "switch
-		// whenever anything waits" — exactly round-robin PS. Under fcfs
-		// the head arrived later, ranks higher, and never wins — run to
-		// completion. Under srpt/edf/las the comparison is the policy.
-		_, headRank, ok := r.queue.Peek()
-		if !ok {
-			// Nothing else to run: keep executing the same job without
-			// a preemption (real PS would not switch). The open quantum
-			// extends rather than closing and reopening.
-			r.runQuantum(j, core)
-			return
-		}
-		myRank := r.rank.rank(j, now)
-		if headRank > myRank {
-			r.runQuantum(j, core)
-			return
-		}
-		next, _, _ := r.queue.Pop()
-		// Preempt: pay the switch overhead, requeue, run the next job.
+	c := &r.cores[core]
+	c.j, c.slice = j, slice
+	r.eng.After(slice, c)
+}
+
+// quantumEnd closes the core's quantum: the job finishes, keeps the
+// core for another quantum, or is preempted by the queue head.
+//
+//simvet:hotpath
+func (r *ctRun) quantumEnd(c *ctCore) {
+	j, core := c.j, c.id
+	c.j = nil
+	j.remain -= c.slice
+	now := r.eng.Now()
+	if j.remain <= 0 {
 		r.met.emit(now, obs.QuantumEnd, j.id, j.class, core)
-		r.met.emit(now, obs.Preempt, j.id, j.class, core)
-		r.queue.Push(j, myRank)
-		if r.m.PreemptOverhead > 0 {
-			r.eng.After(r.m.PreemptOverhead, func() { r.mount(next, core) })
-		} else {
+		r.met.emit(now, obs.Finish, j.id, j.class, core)
+		r.met.record(j, now)
+		r.pool.put(j)
+		if next, _, ok := r.queue.Pop(); ok {
 			r.mount(next, core)
+		} else {
+			r.free = append(r.free, core)
 		}
-	})
+		return
+	}
+	// The switch rule: yield the core iff the queue head ranks at or
+	// below the running job at this boundary. Under rr the head's
+	// rank is its (earlier) queue time, so the rule is "switch
+	// whenever anything waits" — exactly round-robin PS. Under fcfs
+	// the head arrived later, ranks higher, and never wins — run to
+	// completion. Under srpt/edf/las the comparison is the policy.
+	_, headRank, ok := r.queue.Peek()
+	if !ok {
+		// Nothing else to run: keep executing the same job without
+		// a preemption (real PS would not switch). The open quantum
+		// extends rather than closing and reopening.
+		r.runQuantum(j, core)
+		return
+	}
+	myRank := r.rank.rank(j, now)
+	if headRank > myRank {
+		r.runQuantum(j, core)
+		return
+	}
+	next, _, _ := r.queue.Pop()
+	// Preempt: pay the switch overhead, requeue, run the next job.
+	r.met.emit(now, obs.QuantumEnd, j.id, j.class, core)
+	r.met.emit(now, obs.Preempt, j.id, j.class, core)
+	r.queue.Push(j, myRank)
+	if r.m.PreemptOverhead > 0 {
+		c.next = next
+		r.eng.After(r.m.PreemptOverhead, c)
+	} else {
+		r.mount(next, core)
+	}
 }
 
 var _ Machine = (*CentralizedPS)(nil)

@@ -19,7 +19,8 @@ import (
 // The machine is also this package's template for expressing a new
 // system purely as kernel policies (see EXPERIMENTS.md "Adding a
 // machine"): the three machinePolicy methods below are the entire
-// arrival path, and the run loop is one worker callback.
+// arrival path, and the run loop is one worker event: the worker core
+// is the event's target (a sim.Handler) and holds the running job.
 
 // DFCFSParams configures the d-FCFS baseline.
 type DFCFSParams struct {
@@ -71,10 +72,20 @@ func NewDFCFS(p DFCFSParams) *DFCFS {
 // Name implements Machine.
 func (d *DFCFS) Name() string { return disciplineName("d-FCFS", d.P.Discipline) }
 
+// dfWorker is one worker core and the target of its completion
+// events; j is the job running to completion, nil while idle.
 type dfWorker struct {
+	r     *dfRun
+	w     int
 	queue pifo.Queue[*job]
 	busy  bool
+	j     *job
 }
+
+// Fire implements sim.Handler: the running job completed.
+//
+//simvet:hotpath
+func (wk *dfWorker) Fire(sim.EventID) { wk.r.complete(wk) }
 
 type dfRun struct {
 	machineRun
@@ -85,11 +96,15 @@ type dfRun struct {
 }
 
 func (d *DFCFS) newRun(cfg RunConfig) *dfRun {
-	return &dfRun{
+	r := &dfRun{
 		m:       d,
 		rank:    newRanker(parseDiscipline(d.P.Discipline, pifo.FCFS), cfg),
 		workers: make([]dfWorker, d.P.Workers),
 	}
+	for w := range r.workers {
+		r.workers[w] = dfWorker{r: r, w: w}
+	}
+	return r
 }
 
 // Run implements Machine.
@@ -142,23 +157,34 @@ func (r *dfRun) admit(lane int, j *job) {
 }
 
 // runJob executes j to completion on worker w — FCFS, one quantum per
-// job — then takes the queue head or goes idle.
+// job.
+//
+//simvet:hotpath
 func (r *dfRun) runJob(w int, j *job) {
 	r.met.emit(r.eng.Now(), obs.QuantumStart, j.id, j.class, int32(w))
-	r.eng.After(j.remain, func() {
-		now := r.eng.Now()
-		r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
-		r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
-		r.met.record(j, now)
-		r.pool.put(j)
-		wk := &r.workers[w]
-		if next, _, ok := wk.queue.Pop(); ok {
-			r.adm.release(w, next.tenant)
-			r.runJob(w, next)
-			return
-		}
-		wk.busy = false
-	})
+	wk := &r.workers[w]
+	wk.j = j
+	r.eng.After(j.remain, wk)
+}
+
+// complete retires the worker's job, then takes the queue head or goes
+// idle.
+//
+//simvet:hotpath
+func (r *dfRun) complete(wk *dfWorker) {
+	j, w := wk.j, wk.w
+	wk.j = nil
+	now := r.eng.Now()
+	r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(w))
+	r.met.emit(now, obs.Finish, j.id, j.class, int32(w))
+	r.met.record(j, now)
+	r.pool.put(j)
+	if next, _, ok := wk.queue.Pop(); ok {
+		r.adm.release(w, next.tenant)
+		r.runJob(w, next)
+		return
+	}
+	wk.busy = false
 }
 
 var _ Machine = (*DFCFS)(nil)

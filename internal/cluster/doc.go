@@ -37,10 +37,27 @@
 // struct embedding machineRun plus a small machinePolicy — where an
 // arriving request is steered (admitLane), how its demand is inflated
 // (inflate), and what the system does with an admitted job (admit) —
-// and its own engine callbacks for everything after admission. The
-// kernel makes the conservation law Offered == Completed + Dropped and
-// the shared arrival semantics structural rather than per-machine
-// conventions; dfcfs.go is the ~100-line template for adding a system.
+// and its own events for everything after admission. The kernel makes
+// the conservation law Offered == Completed + Dropped and the shared
+// arrival semantics structural rather than per-machine conventions;
+// dfcfs.go is the ~100-line template for adding a system.
+//
+// # Events target resources
+//
+// Every event targets a simulated resource that implements
+// sim.Handler: a worker core, a dispatcher or IOKernel serial server,
+// the arrival Pump. The resource holds the state its next event acts
+// on (the job in flight, the slice it runs), so scheduling an event
+// stores a pointer and allocates nothing; a serial server keeps its
+// pending jobs or ops by value in a FIFO whose head is always the one
+// its next event serves. The engine cannot cancel events, so a
+// resource that abandons one (an oracle core preempted before its
+// job's completion, a Shinjuku worker interrupted mid-quantum) keeps
+// the EventID it armed and ignores any other ID it is fired with.
+// There are no closures on the hot path: each machine's Fire methods
+// and the step, dispatch and complete functions they call are marked
+// //simvet:hotpath, and TestMachineRunsAllocationFree fails any
+// machine whose runs allocate per request.
 //
 // # Registry
 //

@@ -33,7 +33,7 @@ import (
 // machinePolicy is the per-system half of a scheduling run. The kernel
 // calls it from the arrival path; everything after admission — worker
 // queues, preemption, balancing — lives in the implementing run struct
-// and its own engine callbacks.
+// and the resources (sim.Handler implementations) its events target.
 type machinePolicy interface {
 	// admitLane steers an arriving request to one of the admission
 	// gate's RX lanes (machines with a single bounded stage always
@@ -78,10 +78,9 @@ type arrivalObserver interface {
 // Pump drives one arrival stream: it pulls requests from a composed
 // workload.Stream and delivers each at its arrival instant, until the
 // first arrival past the horizon. The pump is a chain — each delivery
-// schedules the next — with a single staged request and one reused
-// closure, so pumping allocates nothing per arrival (a fresh
-// `func() { deliver(req) }` per request was the pump's one
-// steady-state allocation; see TestArrivalPumpSteadyStateAllocs).
+// schedules the next — with a single staged request, and the pump
+// itself is the event's target (it implements sim.Handler), so pumping
+// allocates nothing per arrival (see TestArrivalPumpSteadyStateAllocs).
 //
 // Open-loop streams never block; a closed-loop stream can run out of
 // pending arrivals (every user waiting on an in-flight request), in
@@ -96,9 +95,8 @@ type Pump struct {
 	stream  *workload.Stream
 	horizon sim.Time
 	deliver func(workload.Request)
-	// next stages the one in-flight arrival for fn.
+	// next stages the one in-flight arrival for Fire.
 	next workload.Request
-	fn   func()
 	// idle marks a blocked closed-loop stream awaiting feedback.
 	idle bool
 }
@@ -107,15 +105,19 @@ type Pump struct {
 // stop arriving at the horizon, but events already in the engine (jobs
 // in flight) still drain. Start schedules the first arrival.
 func NewPump(eng *sim.Engine, stream *workload.Stream, horizon sim.Time, deliver func(workload.Request)) *Pump {
-	p := &Pump{eng: eng, stream: stream, horizon: horizon, deliver: deliver}
-	p.fn = func() {
-		// Copy the staged request first: chaining the next arrival
-		// overwrites the stage before deliver runs.
-		req := p.next
-		p.Start()
-		p.deliver(req)
-	}
-	return p
+	return &Pump{eng: eng, stream: stream, horizon: horizon, deliver: deliver}
+}
+
+// Fire implements sim.Handler: the staged arrival's instant has come.
+// It chains the next arrival, then delivers this one.
+//
+//simvet:hotpath
+func (p *Pump) Fire(sim.EventID) {
+	// Copy the staged request first: chaining the next arrival
+	// overwrites the stage before deliver runs.
+	req := p.next
+	p.Start()
+	p.deliver(req)
 }
 
 // Start schedules the next arrival (the first, when called from
@@ -133,7 +135,7 @@ func (p *Pump) Start() {
 		return
 	}
 	p.next = req
-	p.eng.At(req.Arrival, p.fn)
+	p.eng.At(req.Arrival, p)
 }
 
 // Done informs the pump's stream that a request retired (completed or

@@ -39,14 +39,28 @@ func NewOracle(workers int) *Oracle {
 // Name implements Machine.
 func (o *Oracle) Name() string { return "Oracle-SRPT" }
 
-// oracleCore is one serving core's state. gen is a generation counter
-// guarding the pending completion callback: the engine has no event
-// cancellation, so a preemption bumps gen and the stale callback
-// no-ops when it fires.
+// oracleCore is one serving core and the target of its completion
+// events. The engine has no event cancellation, so a preemption leaves
+// the mounted job's completion event queued; done is the ID of the one
+// event still meant to complete the core's job (zero while idle), and
+// any other event the core receives is stale and ignored.
 type oracleCore struct {
+	r          *oracleRun
+	idx        int
 	j          *job
 	sliceStart sim.Time // when j last mounted; remaining = j.remain - (now - sliceStart)
-	gen        uint64
+	done       sim.EventID
+}
+
+// Fire implements sim.Handler: the mounted job completes, unless it was
+// preempted since this event was armed.
+//
+//simvet:hotpath
+func (c *oracleCore) Fire(id sim.EventID) {
+	if id != c.done {
+		return // preempted mid-slice; the job was requeued
+	}
+	c.r.complete(c.idx)
 }
 
 type oracleRun struct {
@@ -59,11 +73,15 @@ type oracleRun struct {
 }
 
 func (o *Oracle) newRun(cfg RunConfig) *oracleRun {
-	return &oracleRun{
+	r := &oracleRun{
 		m:     o,
 		rank:  newRanker(pifo.SRPT, cfg),
 		cores: make([]oracleCore, o.Workers),
 	}
+	for i := range r.cores {
+		r.cores[i] = oracleCore{r: r, idx: i}
+	}
+	return r
 }
 
 // Run implements Machine.
@@ -111,13 +129,13 @@ func (r *oracleRun) admit(_ int, j *job) {
 }
 
 // preempt forces the victim core's job off mid-slice: settle its
-// remaining work, invalidate the pending completion callback, and
-// requeue it at its new SRPT rank.
+// remaining work, disown the pending completion event, and requeue it
+// at its new SRPT rank.
 func (r *oracleRun) preempt(core int, now sim.Time) {
 	c := &r.cores[core]
 	v := c.j
 	v.remain -= now - c.sliceStart
-	c.gen++
+	c.done = 0
 	c.j = nil
 	r.met.emit(now, obs.QuantumEnd, v.id, v.class, int32(core))
 	r.met.emit(now, obs.Preempt, v.id, v.class, int32(core))
@@ -126,32 +144,30 @@ func (r *oracleRun) preempt(core int, now sim.Time) {
 
 // start mounts j on an idle core and schedules its completion. The
 // slice runs j to its full remaining demand; if a shorter job preempts
-// first, the generation check discards the stale callback.
+// first, the event-ID check discards the stale completion.
+//
+//simvet:hotpath
 func (r *oracleRun) start(j *job, core int) {
 	now := r.eng.Now()
 	c := &r.cores[core]
 	c.j = j
 	c.sliceStart = now
-	c.gen++
-	gen := c.gen
 	r.met.emit(now, obs.Dispatch, j.id, j.class, int32(core))
 	r.met.emit(now, obs.QuantumStart, j.id, j.class, int32(core))
-	r.eng.After(j.remain, func() {
-		if r.cores[core].gen != gen {
-			return // preempted mid-slice; the job was requeued
-		}
-		r.complete(core)
-	})
+	c.done = r.eng.After(j.remain, c)
 }
 
 // complete retires the core's finished job and mounts the next-shortest
 // queued one.
+//
+//simvet:hotpath
 func (r *oracleRun) complete(core int) {
 	now := r.eng.Now()
 	c := &r.cores[core]
 	j := c.j
 	j.remain = 0
 	c.j = nil
+	c.done = 0
 	r.met.emit(now, obs.QuantumEnd, j.id, j.class, int32(core))
 	r.met.emit(now, obs.Finish, j.id, j.class, int32(core))
 	r.met.record(j, now)

@@ -81,13 +81,46 @@ func NewShinjuku(p ShinjukuParams) *Shinjuku {
 // Name implements Machine.
 func (s *Shinjuku) Name() string { return s.name }
 
+// sjWorker is one worker core and the target of its events. The
+// engine has no event cancellation, so a mount's completion and
+// quantum-timer events stay queued after the job leaves the core; the
+// worker keeps the IDs of the events still meant for it — zero when
+// none is — and ignores any other event as stale.
 type sjWorker struct {
-	busy bool
-	// gen invalidates stale completion/preemption events after the
-	// worker switches jobs.
-	gen     uint64
+	r       *sjRun
+	w       int
 	current *job
 	started sim.Time // when the current dispatch began running
+	// done and timer are the current mount's completion and quantum
+	// timer events. done doubles as the mount's identity: a posted
+	// IPI carries it so a late interrupt can tell its mount is over.
+	done, timer sim.EventID
+	// resume is the end of a preemption's interrupt overhead, after
+	// which preempted rejoins the central queue.
+	resume    sim.EventID
+	preempted *job
+}
+
+// Fire implements sim.Handler.
+//
+//simvet:hotpath
+func (wk *sjWorker) Fire(id sim.EventID) {
+	switch id {
+	case wk.done:
+		wk.r.complete(wk.w, wk.current)
+	case wk.timer:
+		// The dispatcher posts the IPI when it gets to this op; until
+		// then the worker keeps executing the job.
+		wk.timer = 0
+		wk.r.dispatcherOp(dispOp{kind: opIPI, cost: wk.r.m.P.IPICost, w: wk.w, mount: wk.done})
+	case wk.resume:
+		wk.resume = 0
+		j := wk.preempted
+		wk.preempted = nil
+		wk.r.queue.Push(j)
+		wk.r.idle = append(wk.r.idle, wk.w)
+		wk.r.tryAssign()
+	}
 }
 
 type sjRun struct {
@@ -97,56 +130,100 @@ type sjRun struct {
 	queue   core.FIFO[*job]
 	workers []sjWorker
 	idle    []int // indices of idle workers
+	disp    sjDispatcher
 
-	// The dispatcher core is a serial server over two op classes:
-	// scheduling work (assignments, IPIs) takes priority over packet
-	// processing, as the real dispatcher's loop checks preemption
-	// timers and worker states before polling more packets. Without
-	// the priority, an overloaded dispatcher would starve scheduling
-	// behind its RX backlog entirely.
-	schedOps core.FIFO[dispOp]
-	netOps   core.FIFO[dispOp]
-	dispBusy bool
-
-	// achieved records the realized preemption intervals, used by the
+	// achieved averages the realized preemption intervals, used by the
 	// Figure 16 dispatcher-scalability experiment.
-	achieved *stats.Sample
+	achieved stats.RunningMean
 }
 
+// dispOpKind names the work items of Shinjuku's dispatcher core.
+type dispOpKind uint8
+
+const (
+	opPacket   dispOpKind = iota // process an incoming request (lane, j)
+	opAssign                     // hand j to idle worker w
+	opIPI                        // interrupt worker w, if mount still runs
+	opResponse                   // send a completed request's response
+)
+
+// dispOp is one queued dispatcher work item, held by value.
 type dispOp struct {
-	cost sim.Time
-	fn   func()
+	kind  dispOpKind
+	cost  sim.Time
+	lane  int         // opPacket: the request's RX lane
+	w     int         // opAssign, opIPI: the target worker
+	j     *job        // opPacket, opAssign
+	mount sim.EventID // opIPI: the target worker's mount (its done ID)
+}
+
+// sjDispatcher is the dispatcher core: a serial server over two op
+// classes. Scheduling work (assignments, IPIs) takes priority over
+// packet processing, as the real dispatcher's loop checks preemption
+// timers and worker states before polling more packets. Without the
+// priority, an overloaded dispatcher would starve scheduling behind
+// its RX backlog entirely. It is the target of the event that ends
+// the op in service, cur.
+type sjDispatcher struct {
+	r        *sjRun
+	schedOps core.FIFO[dispOp]
+	netOps   core.FIFO[dispOp]
+	busy     bool
+	cur      dispOp
 }
 
 // dispatcherOp enqueues work on the dispatcher core. Scheduling ops
-// (sched=true) are served before packet ops.
-func (r *sjRun) dispatcherOp(sched bool, cost sim.Time, fn func()) {
-	op := dispOp{cost: cost, fn: fn}
-	if sched {
-		r.schedOps.Push(op)
+// are served before packet ops.
+//
+//simvet:hotpath
+func (r *sjRun) dispatcherOp(op dispOp) {
+	if op.kind == opPacket || op.kind == opResponse {
+		r.disp.netOps.Push(op)
 	} else {
-		r.netOps.Push(op)
+		r.disp.schedOps.Push(op)
 	}
-	r.serveDispatcher()
+	r.disp.serve()
 }
 
-func (r *sjRun) serveDispatcher() {
-	if r.dispBusy {
+// serve starts the next op if the dispatcher is free.
+//
+//simvet:hotpath
+func (d *sjDispatcher) serve() {
+	if d.busy {
 		return
 	}
-	op, ok := r.schedOps.Pop()
+	op, ok := d.schedOps.Pop()
 	if !ok {
-		op, ok = r.netOps.Pop()
+		op, ok = d.netOps.Pop()
 	}
 	if !ok {
 		return
 	}
-	r.dispBusy = true
-	r.eng.After(op.cost, func() {
-		op.fn()
-		r.dispBusy = false
-		r.serveDispatcher()
-	})
+	d.busy = true
+	d.cur = op
+	d.r.eng.After(op.cost, d)
+}
+
+// Fire implements sim.Handler: the op in service is done.
+//
+//simvet:hotpath
+func (d *sjDispatcher) Fire(sim.EventID) {
+	op := d.cur
+	d.cur = dispOp{}
+	r := d.r
+	switch op.kind {
+	case opPacket:
+		r.adm.release(op.lane, op.j.tenant)
+		r.enqueue(op.j)
+	case opAssign:
+		r.startOn(op.w, op.j)
+	case opIPI:
+		if r.workers[op.w].done == op.mount {
+			r.preempt(op.w)
+		} // else the job finished while the IPI was in flight
+	}
+	d.busy = false
+	d.serve()
 }
 
 // Run implements Machine.
@@ -155,25 +232,26 @@ func (s *Shinjuku) Run(cfg RunConfig) *Result {
 	return res
 }
 
-// RunMeasured also returns the realized preemption intervals (the
+// RunMeasured also returns the mean realized preemption interval (the
 // "average quantum scheduled by the dispatcher" of §5.6).
-func (s *Shinjuku) RunMeasured(cfg RunConfig) (*Result, *stats.Sample) {
+func (s *Shinjuku) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 	return s.run(cfg)
 }
 
 func (s *Shinjuku) newRun() *sjRun {
 	r := &sjRun{
-		m:        s,
-		workers:  make([]sjWorker, s.P.Workers),
-		achieved: stats.NewSample(1024),
+		m:       s,
+		workers: make([]sjWorker, s.P.Workers),
 	}
 	for w := range r.workers {
+		r.workers[w] = sjWorker{r: r, w: w}
 		r.idle = append(r.idle, w)
 	}
+	r.disp.r = r
 	return r
 }
 
-func (s *Shinjuku) run(cfg RunConfig) (*Result, *stats.Sample) {
+func (s *Shinjuku) run(cfg RunConfig) (*Result, stats.RunningMean) {
 	r := s.newRun()
 	// A saturated dispatcher drops packets at the RX ring. The ring
 	// holds incoming requests only — outgoing responses use their own
@@ -194,20 +272,22 @@ func (s *Shinjuku) NewNode(eng *sim.Engine, cfg RunConfig) Node {
 
 // admit implements machinePolicy: the request occupies its RX slot
 // until the dispatcher's packet-processing op finishes with it.
+//
+//simvet:hotpath
 func (r *sjRun) admit(lane int, j *job) {
-	r.dispatcherOp(false, r.m.P.NetCost, func() {
-		r.adm.release(lane, j.tenant)
-		r.enqueue(j)
-	})
+	r.dispatcherOp(dispOp{kind: opPacket, cost: r.m.P.NetCost, lane: lane, j: j})
 }
 
 // enqueue adds a job to the central queue and, if a worker is idle,
 // issues the dispatcher's assignment op.
+//
+//simvet:hotpath
 func (r *sjRun) enqueue(j *job) {
 	r.queue.Push(j)
 	r.tryAssign()
 }
 
+//simvet:hotpath
 func (r *sjRun) tryAssign() {
 	if len(r.idle) == 0 || r.queue.Len() == 0 {
 		return
@@ -215,7 +295,7 @@ func (r *sjRun) tryAssign() {
 	w := r.idle[len(r.idle)-1]
 	r.idle = r.idle[:len(r.idle)-1]
 	j, _ := r.queue.Pop()
-	r.dispatcherOp(true, r.m.P.SchedCost, func() { r.startOn(w, j) })
+	r.dispatcherOp(dispOp{kind: opAssign, cost: r.m.P.SchedCost, w: w, j: j})
 }
 
 // startOn begins executing j on worker w. Two events race: natural
@@ -223,53 +303,41 @@ func (r *sjRun) tryAssign() {
 // quantum expiry (the interrupt lands late if the dispatcher is busy —
 // the job keeps running meanwhile, which is exactly the quantum
 // inflation Figure 16 measures).
+//
+//simvet:hotpath
 func (r *sjRun) startOn(w int, j *job) {
 	wk := &r.workers[w]
-	wk.busy = true
-	wk.gen++
 	wk.current = j
 	wk.started = r.eng.Now()
-	gen := wk.gen
 	// Every mount is a fresh dispatcher decision — a preempted job is
 	// re-dispatched, unlike TQ where it stays resident on its worker.
 	r.met.emit(wk.started, obs.Dispatch, j.id, j.class, int32(w))
 	r.met.emit(wk.started, obs.QuantumStart, j.id, j.class, int32(w))
 
-	r.eng.After(j.remain, func() {
-		if wk.gen != gen {
-			return // preempted before completing
-		}
-		r.complete(w, j)
-	})
+	wk.done = r.eng.After(j.remain, wk)
 	if j.remain > r.m.P.Quantum {
-		r.eng.After(r.m.P.Quantum, func() {
-			if wk.gen != gen {
-				return // completed first (cannot happen given remain>quantum, but stay safe)
-			}
-			// The dispatcher posts the IPI when it gets to this op;
-			// until then the worker keeps executing the job.
-			r.dispatcherOp(true, r.m.P.IPICost, func() {
-				if wk.gen != gen {
-					return // job finished while the IPI was in flight
-				}
-				r.preempt(w)
-			})
-		})
+		wk.timer = r.eng.After(r.m.P.Quantum, wk)
 	}
 }
 
+// unmount clears the worker's current mount, disowning its pending
+// completion and timer events.
+func (wk *sjWorker) unmount() {
+	wk.current = nil
+	wk.done, wk.timer = 0, 0
+}
+
+//simvet:hotpath
 func (r *sjRun) complete(w int, j *job) {
 	wk := &r.workers[w]
-	wk.gen++
-	wk.busy = false
-	wk.current = nil
+	wk.unmount()
 	r.met.emit(r.eng.Now(), obs.QuantumEnd, j.id, j.class, int32(w))
 	r.met.emit(r.eng.Now(), obs.Finish, j.id, j.class, int32(w))
 	r.met.record(j, r.eng.Now())
 	r.pool.put(j)
 	// Response goes out through the networking half of the centralized
 	// core.
-	r.dispatcherOp(false, r.m.P.RespCost, func() {})
+	r.dispatcherOp(dispOp{kind: opResponse, cost: r.m.P.RespCost})
 	r.idle = append(r.idle, w)
 	r.tryAssign()
 }
@@ -277,6 +345,8 @@ func (r *sjRun) complete(w int, j *job) {
 // preempt interrupts worker w: the job has run since wk.started, the
 // worker pays the interrupt overhead, and the job rejoins the tail of
 // the central queue.
+//
+//simvet:hotpath
 func (r *sjRun) preempt(w int) {
 	wk := &r.workers[w]
 	j := wk.current
@@ -289,16 +359,11 @@ func (r *sjRun) preempt(w int) {
 	}
 	r.achieved.Add(float64(ran))
 	j.remain -= ran
-	wk.gen++
-	wk.busy = false
-	wk.current = nil
+	wk.unmount()
 	r.met.emit(r.eng.Now(), obs.QuantumEnd, j.id, j.class, int32(w))
 	r.met.emit(r.eng.Now(), obs.Preempt, j.id, j.class, int32(w))
-	r.eng.After(r.m.P.InterruptOverhead, func() {
-		r.queue.Push(j)
-		r.idle = append(r.idle, w)
-		r.tryAssign()
-	})
+	wk.preempted = j
+	wk.resume = r.eng.After(r.m.P.InterruptOverhead, wk)
 }
 
 var _ Machine = (*Shinjuku)(nil)

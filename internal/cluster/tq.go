@@ -133,7 +133,13 @@ func (t *TQ) Name() string { return t.name }
 // pair (rr reproduces FIFO's order exactly, las the LASQueue's), and
 // waiting stays effectively FIFO under the defaults because dispatch
 // pushes are monotonic in time.
+//
+// The worker is also the target of its own quantum events: while
+// running, exactly one is in flight, and the quantum it closes is
+// held in j, slice, q and end.
 type tqWorker struct {
+	r        *tqRun
+	w        int
 	runnable pifo.Queue[*job] // busy coroutines, discipline order
 	waiting  pifo.Queue[*job] // dispatch queue (no free coroutine yet)
 	idle     int              // idle coroutine count
@@ -143,6 +149,40 @@ type tqWorker struct {
 	// by deltas.
 	finished  uint64
 	curQuanta int64 // quanta serviced for current (unfinished) jobs
+
+	// The quantum in flight: job j runs slice of its remaining demand
+	// under quantum q and stops executing at end; the event fires one
+	// yield switch later.
+	j        *job
+	slice, q sim.Time
+	end      sim.Time
+}
+
+// Fire implements sim.Handler: the in-flight quantum and its yield
+// switch are over.
+//
+//simvet:hotpath
+func (wk *tqWorker) Fire(sim.EventID) { wk.r.quantumEnd(wk) }
+
+// tqDispatcher is one dispatcher core, a serial server: each admitted
+// request costs DispatchCost, and requests are served in arrival
+// order, so the pending FIFO's head is always the request whose
+// dispatch event fires next.
+type tqDispatcher struct {
+	r         *tqRun
+	lane      int
+	busyUntil sim.Time // when the dispatcher frees up
+	pending   core.FIFO[*job]
+}
+
+// Fire implements sim.Handler: the dispatcher finished processing the
+// head request and forwards it.
+//
+//simvet:hotpath
+func (d *tqDispatcher) Fire(sim.EventID) {
+	j, _ := d.pending.Pop()
+	d.r.adm.release(d.lane, j.tenant)
+	d.r.dispatch(j)
 }
 
 // pushRunnable enqueues a busy coroutine in discipline order.
@@ -169,18 +209,16 @@ type tqRun struct {
 	tracker *core.LoadTracker
 	bal     core.Balancer
 
-	// Dispatcher serial-server state, one entry per dispatcher core:
-	// busyUntil is when that dispatcher frees up; requests queue FIFO
-	// implicitly via the timestamp.
-	dispBusyUntil []sim.Time
-	rss           core.RSS
+	// disp holds one serial server per dispatcher core.
+	disp []tqDispatcher
+	rss  core.RSS
 	// lastRefresh is when the dispatcher last read the worker counters;
 	// its load view is stale by up to StatsPeriod (§4's periodic reads).
 	lastRefresh sim.Time
 
-	// achieved records realized preemption intervals (full quanta plus
-	// the yield switch), for the Figure 16 accuracy measurement.
-	achieved *stats.Sample
+	// achieved averages the realized preemption intervals (full quanta
+	// plus the yield switch), for the Figure 16 accuracy measurement.
+	achieved stats.RunningMean
 }
 
 // Run implements Machine.
@@ -189,10 +227,10 @@ func (t *TQ) Run(cfg RunConfig) *Result {
 	return res
 }
 
-// RunMeasured also returns the realized preemption intervals — the
-// quantum sizes the workers actually schedule, compared against the
+// RunMeasured also returns the mean realized preemption interval — the
+// quantum size the workers actually schedule, compared against the
 // target in the §5.6 scalability experiment.
-func (t *TQ) RunMeasured(cfg RunConfig) (*Result, *stats.Sample) {
+func (t *TQ) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 	return t.run(cfg)
 }
 
@@ -214,7 +252,7 @@ func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
 		tracker: core.NewLoadTracker(t.P.Workers, 32),
 	}
 	for i := range r.workers {
-		r.workers[i].idle = t.P.Coroutines
+		r.workers[i] = tqWorker{r: r, w: i, idle: t.P.Coroutines}
 	}
 	switch t.P.Balancer {
 	case BalanceJSQMSQ:
@@ -230,18 +268,20 @@ func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
 	}
 	gen := cfg.Stream(r.rand.Split())
 	r.lastRefresh = -t.P.StatsPeriod // force a refresh on first dispatch
-	r.achieved = stats.NewSample(1024)
 	nDisp := t.P.Dispatchers
 	if nDisp <= 0 {
 		nDisp = 1
 	}
-	r.dispBusyUntil = make([]sim.Time, nDisp)
+	r.disp = make([]tqDispatcher, nDisp)
+	for d := range r.disp {
+		r.disp[d] = tqDispatcher{r: r, lane: d}
+	}
 	return r, gen
 }
 
-func (t *TQ) run(cfg RunConfig) (*Result, *stats.Sample) {
+func (t *TQ) run(cfg RunConfig) (*Result, stats.RunningMean) {
 	r, gen := t.newRun(cfg)
-	r.init(cfg, r, gen, t.P.RXQueue, len(r.dispBusyUntil))
+	r.init(cfg, r, gen, t.P.RXQueue, len(r.disp))
 	res := r.run(t.name, t.P.RTT)
 	return res, r.achieved
 }
@@ -251,7 +291,7 @@ func (t *TQ) run(cfg RunConfig) (*Result, *stats.Sample) {
 // its own — the embedding layer injects them.
 func (t *TQ) NewNode(eng *sim.Engine, cfg RunConfig) Node {
 	r, _ := t.newRun(cfg)
-	r.attach(eng, cfg, r, t.P.RXQueue, len(r.dispBusyUntil))
+	r.attach(eng, cfg, r, t.P.RXQueue, len(r.disp))
 	r.bind(t.name, t.P.Workers, t.P.RTT)
 	return r
 }
@@ -282,8 +322,8 @@ func (r *tqRun) refreshView() {
 // the dispatcher cores (one core in the paper's configuration; §6
 // discusses scaling them out).
 func (r *tqRun) admitLane(req workload.Request) int {
-	if len(r.dispBusyUntil) > 1 {
-		return r.rss.Steer(req.ID, len(r.dispBusyUntil))
+	if len(r.disp) > 1 {
+		return r.rss.Steer(req.ID, len(r.disp))
 	}
 	return 0
 }
@@ -311,20 +351,22 @@ func (r *tqRun) observeDrop(req workload.Request) {
 // admit implements machinePolicy: the dispatcher, a serial server,
 // spends DispatchCost on the request and then forwards it. The RX-ring
 // slot is held until the dispatcher picks the request up.
-func (r *tqRun) admit(d int, j *job) {
-	now := r.eng.Now()
-	if r.dispBusyUntil[d] < now {
-		r.dispBusyUntil[d] = now
+//
+//simvet:hotpath
+func (r *tqRun) admit(lane int, j *job) {
+	d := &r.disp[lane]
+	if now := r.eng.Now(); d.busyUntil < now {
+		d.busyUntil = now
 	}
-	r.dispBusyUntil[d] += r.m.P.DispatchCost
-	r.eng.At(r.dispBusyUntil[d], func() {
-		r.adm.release(d, j.tenant)
-		r.dispatch(j)
-	})
+	d.busyUntil += r.m.P.DispatchCost
+	d.pending.Push(j)
+	r.eng.At(d.busyUntil, d)
 }
 
 // dispatch runs after the dispatcher's processing delay: pick a worker
 // with the blind balancing policy and push onto its dispatch queue.
+//
+//simvet:hotpath
 func (r *tqRun) dispatch(j *job) {
 	r.refreshView()
 	w := r.bal.Pick(r.tracker)
@@ -352,6 +394,8 @@ func (r *tqRun) kick(w int) {
 // step executes one scheduler-coroutine iteration on worker w: admit
 // pending requests onto idle coroutines, then run one quantum of the
 // head coroutine.
+//
+//simvet:hotpath
 func (r *tqRun) step(w int) {
 	wk := &r.workers[w]
 	// Admission: the scheduler coroutine polls the dispatch queue when
@@ -390,36 +434,46 @@ func (r *tqRun) step(w int) {
 	end := now + admitCost + slice
 	r.emit(trace.Event{T: now + admitCost, Kind: trace.QuantumStart, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(now+admitCost, obs.QuantumStart, j.id, j.class, int32(w))
-	r.eng.After(admitCost+slice+r.m.P.YieldOverhead, func() {
-		r.emit(trace.Event{T: end, Kind: trace.QuantumEnd, Job: j.id, Class: int(j.class), Worker: w})
-		r.met.emit(end, obs.QuantumEnd, j.id, j.class, int32(w))
-		if slice >= q && j.remain > q {
-			// A true preemption: the realized interval includes the
-			// switch cost — what Figure 16 compares to the target.
-			r.achieved.Add(float64(slice + r.m.P.YieldOverhead))
-		}
-		j.remain -= slice
-		j.quanta++
-		wk.curQuanta++
-		if j.remain <= 0 {
-			// Completion: the worker replies directly to the client
-			// (no dispatcher involvement) and updates its counters.
-			wk.curQuanta -= j.quanta
-			wk.finished++
-			wk.idle++
-			r.emit(trace.Event{T: end, Kind: trace.Finish, Job: j.id, Class: int(j.class), Worker: w})
-			r.met.emit(end, obs.Finish, j.id, j.class, int32(w))
-			r.met.record(j, end)
-			r.pool.put(j)
-		} else {
-			// The probe fired and the coroutine yielded voluntarily —
-			// TQ's forced multitasking shows up as probe-yield, never as
-			// an interrupt-style preempt.
-			r.met.emit(end, obs.ProbeYield, j.id, j.class, int32(w))
-			r.pushRunnable(wk, j)
-		}
-		r.step(w)
-	})
+	wk.j, wk.slice, wk.q, wk.end = j, slice, q, end
+	r.eng.After(admitCost+slice+r.m.P.YieldOverhead, wk)
+}
+
+// quantumEnd closes the worker's in-flight quantum: the job completes
+// or yields back to the runnable queue, and the scheduler coroutine
+// takes its next step.
+//
+//simvet:hotpath
+func (r *tqRun) quantumEnd(wk *tqWorker) {
+	j, slice, q, end, w := wk.j, wk.slice, wk.q, wk.end, wk.w
+	wk.j = nil
+	r.emit(trace.Event{T: end, Kind: trace.QuantumEnd, Job: j.id, Class: int(j.class), Worker: w})
+	r.met.emit(end, obs.QuantumEnd, j.id, j.class, int32(w))
+	if slice >= q && j.remain > q {
+		// A true preemption: the realized interval includes the
+		// switch cost — what Figure 16 compares to the target.
+		r.achieved.Add(float64(slice + r.m.P.YieldOverhead))
+	}
+	j.remain -= slice
+	j.quanta++
+	wk.curQuanta++
+	if j.remain <= 0 {
+		// Completion: the worker replies directly to the client
+		// (no dispatcher involvement) and updates its counters.
+		wk.curQuanta -= j.quanta
+		wk.finished++
+		wk.idle++
+		r.emit(trace.Event{T: end, Kind: trace.Finish, Job: j.id, Class: int(j.class), Worker: w})
+		r.met.emit(end, obs.Finish, j.id, j.class, int32(w))
+		r.met.record(j, end)
+		r.pool.put(j)
+	} else {
+		// The probe fired and the coroutine yielded voluntarily —
+		// TQ's forced multitasking shows up as probe-yield, never as
+		// an interrupt-style preempt.
+		r.met.emit(end, obs.ProbeYield, j.id, j.class, int32(w))
+		r.pushRunnable(wk, j)
+	}
+	r.step(w)
 }
 
 var _ Machine = (*TQ)(nil)

@@ -21,55 +21,69 @@ func churnDelay(state *uint64) Time {
 	return Time(z%1000 + 1)
 }
 
+// churner is the churn workload's one resource: every event it fires
+// reschedules it until the budget runs out. All depth live events
+// target the same churner, as every worker event of a machine run
+// targets a handful of long-lived resources.
+type churner struct {
+	e         *Engine
+	state     uint64
+	remaining int
+}
+
+func (c *churner) Fire(EventID) {
+	c.remaining--
+	if c.remaining == 0 {
+		c.e.Halt()
+		return
+	}
+	c.e.After(churnDelay(&c.state), c)
+}
+
 // EngineChurn runs the standard churn workload — depth self-renewing
 // events with uniform 1..1000ns reschedule delays, the regime the
 // scheduling simulations operate in — for n events on a fresh Engine
 // and returns the wall-clock time of the measured run loop.
 func EngineChurn(depth, n int, seed uint64) time.Duration {
 	e := New()
-	state := seed
-	remaining := n
-	var fn func()
-	fn = func() {
-		remaining--
-		if remaining == 0 {
-			e.Halt()
-			return
-		}
-		e.After(churnDelay(&state), fn)
-	}
+	c := &churner{e: e, state: seed, remaining: n}
 	for i := 0; i < depth; i++ {
-		e.After(churnDelay(&state), fn)
+		e.After(churnDelay(&c.state), c)
 	}
 	start := time.Now() //simvet:ignore host wall-clock benchmark timing, not sim state
 	e.Run()
 	return time.Since(start) //simvet:ignore host wall-clock benchmark timing, not sim state
 }
 
+// heapChurner is churner against the bare retired heap: firing pushes
+// the next event at the heap's clock plus the next churn delay.
+type heapChurner struct {
+	h     eventHeap
+	now   Time
+	seq   uint64
+	state uint64
+}
+
+func (c *heapChurner) push() {
+	c.seq++
+	c.h.push(event{at: c.now + churnDelay(&c.state), seq: c.seq, h: c})
+}
+
+func (c *heapChurner) Fire(EventID) { c.push() }
+
 // HeapChurn is EngineChurn against the retired 4-ary heap baseline:
 // the same delay stream and live depth, driven through the equivalent
-// pop → advance clock → run callback loop the old engine used.
+// pop → advance clock → fire handler loop the old engine used.
 func HeapChurn(depth, n int, seed uint64) time.Duration {
-	var (
-		h     eventHeap
-		now   Time
-		seq   uint64
-		state = seed
-	)
-	push := func(fn func()) {
-		seq++
-		h.push(event{at: now + churnDelay(&state), seq: seq, fn: fn})
-	}
-	var fn func()
-	fn = func() { push(fn) }
+	c := &heapChurner{state: seed}
 	for i := 0; i < depth; i++ {
-		push(fn)
+		c.push()
 	}
 	start := time.Now() //simvet:ignore host wall-clock benchmark timing, not sim state
 	for i := 0; i < n; i++ {
-		ev := h.pop()
-		now = ev.at
-		ev.fn()
+		ev := c.h.pop()
+		c.now = ev.at
+		ev.h.Fire(EventID(ev.seq))
 	}
 	return time.Since(start) //simvet:ignore host wall-clock benchmark timing, not sim state
 }

@@ -51,9 +51,9 @@ func (h *eventHeap) pop() event {
 	top := h.heap[0]
 	last := len(h.heap) - 1
 	h.heap[0] = h.heap[last]
-	// Zero the vacated tail slot: before PR 6 it kept the moved
-	// event's fn closure (and everything the closure captured)
-	// reachable until a later push happened to overwrite it.
+	// Zero the vacated tail slot: otherwise it keeps the moved
+	// event's handler (and everything the handler references)
+	// reachable until a later push happens to overwrite it.
 	h.heap[last] = event{}
 	h.heap = h.heap[:last]
 	i := 0

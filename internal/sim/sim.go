@@ -72,12 +72,30 @@ func trimZeros(s string) string {
 	return s
 }
 
-// event is a scheduled callback. seq breaks ties so that events at the
-// same instant run in the order they were scheduled.
+// EventID identifies one scheduled event. IDs are the engine's
+// scheduling sequence numbers: unique for the engine's lifetime,
+// increasing in scheduling order, and never zero, so a resource can
+// keep the ID it armed (zero meaning "none") and recognize a stale
+// event by comparing it with the ID the engine fires.
+type EventID uint64
+
+// Handler is the target of an event: a simulated resource (a worker
+// core, a dispatcher, an arrival pump) that holds the state the event
+// acts on. Fire runs when the event's instant comes, with the ID At
+// or After returned for it. Scheduling a pointer-typed resource stores
+// the pointer in the event, so arming an event allocates nothing.
+type Handler interface {
+	Fire(id EventID)
+}
+
+// event is one scheduled firing of a handler. seq breaks ties so that
+// events at the same instant run in the order they were scheduled; it
+// doubles as the event's ID. The struct is 32 bytes: the queue moves
+// events by value, so its size is the wheel's per-event cost.
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
+	h   Handler
 }
 
 // Engine runs events in timestamp order. The zero value is ready to
@@ -99,22 +117,29 @@ func New() *Engine { return &Engine{} }
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// At schedules fn to run at absolute time at. Scheduling in the past
-// (before Now) panics: it always indicates a model bug.
-func (e *Engine) At(at Time, fn func()) {
+// At schedules h to fire at absolute time at and returns the event's
+// ID. Scheduling in the past (before Now) panics: it always indicates
+// a model bug.
+//
+//simvet:hotpath
+func (e *Engine) At(at Time, h Handler) EventID {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	e.wheel.push(event{at: at, seq: e.seq, fn: fn})
+	e.wheel.push(event{at: at, seq: e.seq, h: h})
+	return EventID(e.seq)
 }
 
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) {
+// After schedules h to fire d nanoseconds from now and returns the
+// event's ID.
+//
+//simvet:hotpath
+func (e *Engine) After(d Time, h Handler) EventID {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	e.At(e.now+d, fn)
+	return e.At(e.now+d, h)
 }
 
 // Halt stops the run loop after the current event returns. Pending
@@ -141,7 +166,7 @@ func (e *Engine) Run() Time {
 		ev := e.wheel.pop()
 		e.now = ev.at
 		e.executed++
-		ev.fn()
+		ev.h.Fire(EventID(ev.seq))
 	}
 	e.halted = false // consume the halt, see Halt
 	return e.now
@@ -160,7 +185,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		ev := e.wheel.pop()
 		e.now = ev.at
 		e.executed++
-		ev.fn()
+		ev.h.Fire(EventID(ev.seq))
 	}
 	if !e.halted && e.now < deadline {
 		e.now = deadline
@@ -168,36 +193,3 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	e.halted = false // consume the halt, see Halt
 	return e.now
 }
-
-// Ticker invokes fn every period ns starting at the next period
-// boundary, until Stop is called or the engine drains. It models the
-// polling loops in the system (e.g. the dispatcher reading worker
-// counters).
-type Ticker struct {
-	e       *Engine
-	period  Time
-	stopped bool
-}
-
-// NewTicker starts a ticker on e with the given period (> 0).
-func NewTicker(e *Engine, period Time, fn func()) *Ticker {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t := &Ticker{e: e, period: period}
-	var tick func()
-	tick = func() {
-		if t.stopped {
-			return
-		}
-		fn()
-		if !t.stopped {
-			e.After(period, tick)
-		}
-	}
-	e.After(period, tick)
-	return t
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() { t.stopped = true }

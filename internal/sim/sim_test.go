@@ -8,12 +8,51 @@ import (
 	"repro/internal/rng"
 )
 
+// call adapts a plain function to a Handler, for tests that only need
+// a side effect at an instant.
+type call func()
+
+func (f call) Fire(EventID) { f() }
+
+// idRecorder records the ID of every event it fires.
+type idRecorder struct{ fired []EventID }
+
+func (r *idRecorder) Fire(id EventID) { r.fired = append(r.fired, id) }
+
+func TestFireReceivesScheduledID(t *testing.T) {
+	e := New()
+	rec := &idRecorder{}
+	var want []EventID
+	for _, at := range []Time{30, 10, 20, 10} {
+		want = append(want, e.At(at, rec))
+	}
+	if want[0] == 0 {
+		t.Fatal("At returned the zero EventID, which resources use as \"none\"")
+	}
+	for i := 1; i < len(want); i++ {
+		if want[i] <= want[i-1] {
+			t.Fatalf("IDs not increasing in scheduling order: %v", want)
+		}
+	}
+	e.Run()
+	// Fired in (at, seq) order: 10 (second push), 10 (fourth), 20, 30.
+	order := []EventID{want[1], want[3], want[2], want[0]}
+	if len(rec.fired) != len(order) {
+		t.Fatalf("fired %v, want %v", rec.fired, order)
+	}
+	for i := range order {
+		if rec.fired[i] != order[i] {
+			t.Fatalf("fired %v, want %v", rec.fired, order)
+		}
+	}
+}
+
 func TestRunsInTimestampOrder(t *testing.T) {
 	e := New()
 	var got []Time
 	for _, at := range []Time{30, 10, 20, 5, 25} {
 		at := at
-		e.At(at, func() { got = append(got, e.Now()) })
+		e.At(at, call(func() { got = append(got, e.Now()) }))
 	}
 	e.Run()
 	want := []Time{5, 10, 20, 25, 30}
@@ -29,7 +68,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func() { order = append(order, i) })
+		e.At(100, call(func() { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -42,9 +81,9 @@ func TestSameInstantFIFO(t *testing.T) {
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := New()
 	var fired Time = -1
-	e.At(50, func() {
-		e.After(25, func() { fired = e.Now() })
-	})
+	e.At(50, call(func() {
+		e.After(25, call(func() { fired = e.Now() }))
+	}))
 	e.Run()
 	if fired != 75 {
 		t.Fatalf("After fired at %d, want 75", fired)
@@ -53,14 +92,14 @@ func TestAfterSchedulesRelative(t *testing.T) {
 
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.At(100, func() {
+	e.At(100, call(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
-	})
+		e.At(50, call(func() {}))
+	}))
 	e.Run()
 }
 
@@ -71,19 +110,19 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func() {})
+	e.After(-1, call(func() {}))
 }
 
 func TestHaltStopsRun(t *testing.T) {
 	e := New()
 	count := 0
 	for i := Time(1); i <= 10; i++ {
-		e.At(i, func() {
+		e.At(i, call(func() {
 			count++
 			if count == 3 {
 				e.Halt()
 			}
-		})
+		}))
 	}
 	e.Run()
 	if count != 3 {
@@ -99,7 +138,7 @@ func TestRunUntilRespectsDeadline(t *testing.T) {
 	var ran []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		e.At(at, func() { ran = append(ran, at) })
+		e.At(at, call(func() { ran = append(ran, at) }))
 	}
 	end := e.RunUntil(25)
 	if end != 25 {
@@ -120,7 +159,7 @@ func TestRunUntilRespectsDeadline(t *testing.T) {
 
 func TestRunReturnsFinalTime(t *testing.T) {
 	e := New()
-	e.At(123, func() {})
+	e.At(123, call(func() {}))
 	if end := e.Run(); end != 123 {
 		t.Fatalf("Run returned %d, want 123", end)
 	}
@@ -137,7 +176,7 @@ func TestHeapOrderProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			at := Time(r.Uint64n(1000))
 			want[i] = at
-			e.At(at, func() { got = append(got, e.Now()) })
+			e.At(at, call(func() { got = append(got, e.Now()) }))
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		e.Run()
@@ -151,37 +190,6 @@ func TestHeapOrderProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestTickerPeriodAndStop(t *testing.T) {
-	e := New()
-	var ticks []Time
-	var tk *Ticker
-	tk = NewTicker(e, 10, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 4 {
-			tk.Stop()
-		}
-	})
-	e.Run()
-	want := []Time{10, 20, 30, 40}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerInvalidPeriodPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero ticker period did not panic")
-		}
-	}()
-	NewTicker(New(), 0, func() {})
 }
 
 func TestMicrosConversion(t *testing.T) {
@@ -235,67 +243,57 @@ func TestEngineExecutedCountsEvents(t *testing.T) {
 		t.Fatalf("fresh engine Executed() = %d", e.Executed())
 	}
 	for i := 1; i <= 5; i++ {
-		e.After(Time(i), func() {})
+		e.After(Time(i), call(func() {}))
 	}
 	e.Run()
 	if e.Executed() != 5 {
 		t.Fatalf("Executed() = %d after 5 events, want 5", e.Executed())
 	}
 	// RunUntil counts, too, and the counter accumulates across calls.
-	e.After(1, func() { e.After(1, func() {}) })
+	e.After(1, call(func() { e.After(1, call(func() {})) }))
 	e.RunUntil(e.Now() + 10)
 	if e.Executed() != 7 {
 		t.Fatalf("Executed() = %d after 7 events, want 7", e.Executed())
 	}
 }
 
+// benchChurner is the churn benchmarks' self-renewing resource: each
+// firing reschedules it at a uniform 1..1000ns delay.
+type benchChurner struct {
+	e *Engine
+	r *rng.Rand
+}
+
+func (c *benchChurner) Fire(EventID) { c.e.After(Time(c.r.Uint64n(1000)+1), c) }
+
 func BenchmarkEngineChurn(b *testing.B) {
 	// Measures push/pop throughput with a live queue of 1024 events,
 	// the regime the scheduling simulations operate in.
 	e := New()
-	r := rng.New(1)
-	depth := 1024
-	var fn func()
-	fn = func() {
-		e.After(Time(r.Uint64n(1000)+1), fn)
-	}
-	for i := 0; i < depth; i++ {
-		e.After(Time(r.Uint64n(1000)+1), fn)
+	c := &benchChurner{e: e, r: rng.New(1)}
+	for i := 0; i < 1024; i++ {
+		c.Fire(0)
 	}
 	b.ResetTimer()
-	count := 0
-	target := b.N
-	for count < target {
+	for i := 0; i < b.N; i++ {
 		ev := e.wheel.pop()
 		e.now = ev.at
-		ev.fn()
-		count++
+		ev.h.Fire(EventID(ev.seq))
 	}
 }
 
 // BenchmarkEngineChurnHeap is the same workload on the retired 4-ary
 // heap, the before-number every BENCH_*.json compares the wheel to.
 func BenchmarkEngineChurnHeap(b *testing.B) {
-	var (
-		h   eventHeap
-		now Time
-		seq uint64
-	)
-	r := rng.New(1)
-	push := func(fn func()) {
-		seq++
-		h.push(event{at: now + Time(r.Uint64n(1000)+1), seq: seq, fn: fn})
-	}
-	var fn func()
-	fn = func() { push(fn) }
+	c := &heapChurner{state: 1}
 	for i := 0; i < 1024; i++ {
-		push(fn)
+		c.push()
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ev := h.pop()
-		now = ev.at
-		ev.fn()
+		ev := c.h.pop()
+		c.now = ev.at
+		ev.h.Fire(EventID(ev.seq))
 	}
 }
 

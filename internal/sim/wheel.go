@@ -42,13 +42,17 @@ const (
 	// Steady-state slots stay far below it and keep their storage, so
 	// the hot path settles to zero allocations.
 	slotShrinkCap = 1024
+
+	// slotMinCap is the capacity of a slot's first array: a typical busy
+	// slot's depth, so most arrays never regrow, for 256 bytes each.
+	slotMinCap = 8
 )
 
 // wheelSlot is one bucket: a FIFO of events drained via head so that
-// callbacks can append same-instant events while the slot is being
+// handlers can append same-instant events while the slot is being
 // popped. Popped entries are zeroed immediately — the slice would
-// otherwise keep each fired closure (and everything it captured)
-// reachable until the slot's next rotation.
+// otherwise keep each fired handler (and everything it references)
+// reachable until the storage's next use.
 type wheelSlot struct {
 	head   int
 	events []event
@@ -76,9 +80,34 @@ func (s *wheelSlot) take() (ev event, done bool) {
 
 // wheelLevel is one ring of slots plus an occupancy bitmap so the next
 // non-empty slot is found with four word tests instead of 256 loads.
+//
+// Level-0 slots keep their storage when pop drains them: they come
+// round every 256ns, so it is soon reused. A coarser bucket drains by
+// cascading and hands its storage to the level's spare stack, from
+// which the next of the level's buckets to fill takes it: a level-2
+// bucket comes round only every 16.7ms and a level-3 one every 4.3s,
+// so storage kept on the bucket would sit idle while each bucket a
+// fresh engine reaches allocated and grew its own. Recycled, the
+// level's arrays follow the clock: a fresh engine makes about as many
+// per level as the level ever has occupied buckets, not one per bucket
+// it reaches, and each grows only to the level's busiest depth.
 type wheelLevel struct {
 	occupied [wheelSlots / 64]uint64
 	slots    [wheelSlots]wheelSlot
+	spare    [][]event
+}
+
+// reuse returns storage for an empty slot: the level's most recently
+// recycled array, or a new one.
+func (l *wheelLevel) reuse() []event {
+	n := len(l.spare)
+	if n == 0 {
+		return make([]event, 0, slotMinCap)
+	}
+	buf := l.spare[n-1]
+	l.spare[n-1] = nil
+	l.spare = l.spare[:n-1]
+	return buf
 }
 
 // scan returns the first occupied slot index at or after from.
@@ -133,7 +162,11 @@ func (w *timingWheel) place(ev event) {
 	}
 	idx := int(ev.at>>(uint(lvl)*wheelBits)) & wheelMask
 	l := &w.levels[lvl]
-	l.slots[idx].events = append(l.slots[idx].events, ev)
+	s := &l.slots[idx]
+	if s.events == nil {
+		s.events = l.reuse()
+	}
+	s.events = append(s.events, ev)
 	l.mark(idx)
 }
 
@@ -196,7 +229,9 @@ func (w *timingWheel) nextTime(limit Time) (Time, bool) {
 // b's window; every earlier window is drained, so no pending event is
 // skipped — and re-files the bucket's events, which now land at
 // strictly lower levels. Stored order is preserved, keeping each
-// destination slot seq-sorted.
+// destination slot seq-sorted. The drained bucket's storage goes to
+// the level's spare stack (see wheelLevel) unless the shrink policy
+// releases it.
 //
 //simvet:hotpath
 func (w *timingWheel) cascade(lvl, b int, start Time) {
@@ -209,13 +244,13 @@ func (w *timingWheel) cascade(lvl, b int, start Time) {
 	for i := range evs {
 		w.place(evs[i]) // appends only to levels below lvl: evs is stable
 	}
-	clear(s.events) // drop the moved closure references
-	s.head = 0
-	if cap(s.events) > slotShrinkCap {
-		s.events = nil // shrink policy, as in wheelSlot.take
-	} else {
-		s.events = s.events[:0]
+	clear(s.events) // drop the moved handler references
+	// Recycle the storage, unless the shrink policy drops it.
+	if cap(s.events) <= slotShrinkCap {
+		l.spare = append(l.spare, s.events[:0])
 	}
+	s.events = nil
+	s.head = 0
 	l.clear(b)
 }
 

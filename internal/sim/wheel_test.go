@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -17,29 +18,31 @@ import (
 // event and every peeked timestamp.
 
 // differential mirrors one Engine-shaped trajectory onto both queues.
+// Every engine event targets the differential itself, whose Fire
+// records the fired ID, so pop order is observable.
 type differential struct {
 	t     *testing.T
 	e     *Engine
 	h     eventHeap
 	hseq  uint64
-	fired []uint64 // seqs fired by engine callbacks, in order
+	fired []EventID // IDs fired by the engine, in order
 }
 
 func newDifferential(t *testing.T) *differential {
 	return &differential{t: t, e: New()}
 }
 
+func (d *differential) Fire(id EventID) { d.fired = append(d.fired, id) }
+
 // schedule registers one event at the given delay from the engine
-// clock in both queues; the engine-side callback records the event's
-// seq so pop order is observable.
+// clock in both queues.
 func (d *differential) schedule(delay Time) {
 	at := d.e.Now() + delay
 	d.hseq++
-	seq := d.hseq
-	d.e.At(at, func() { d.fired = append(d.fired, seq) })
-	d.h.push(event{at: at, seq: seq, fn: nil})
-	if d.e.seq != d.hseq {
-		d.t.Fatalf("engine seq %d diverged from mirror %d", d.e.seq, d.hseq)
+	id := d.e.At(at, d)
+	d.h.push(event{at: at, seq: d.hseq, h: d})
+	if uint64(id) != d.hseq {
+		d.t.Fatalf("engine event ID %d diverged from mirror seq %d", id, d.hseq)
 	}
 }
 
@@ -48,9 +51,9 @@ func (d *differential) schedule(delay Time) {
 func (d *differential) runUntil(deadline Time) {
 	d.fired = d.fired[:0]
 	d.e.RunUntil(deadline)
-	var want []uint64
+	var want []EventID
 	for d.h.len() > 0 && d.h.min() <= deadline {
-		want = append(want, d.h.pop().seq)
+		want = append(want, EventID(d.h.pop().seq))
 	}
 	d.compare(want)
 }
@@ -59,14 +62,14 @@ func (d *differential) runUntil(deadline Time) {
 func (d *differential) drain() {
 	d.fired = d.fired[:0]
 	d.e.Run()
-	var want []uint64
+	var want []EventID
 	for d.h.len() > 0 {
-		want = append(want, d.h.pop().seq)
+		want = append(want, EventID(d.h.pop().seq))
 	}
 	d.compare(want)
 }
 
-func (d *differential) compare(want []uint64) {
+func (d *differential) compare(want []EventID) {
 	d.t.Helper()
 	if len(d.fired) != len(want) {
 		d.t.Fatalf("wheel fired %d events, heap %d (wheel %v, heap %v)",
@@ -74,7 +77,7 @@ func (d *differential) compare(want []uint64) {
 	}
 	for i := range want {
 		if d.fired[i] != want[i] {
-			d.t.Fatalf("pop %d: wheel fired seq %d, heap seq %d", i, d.fired[i], want[i])
+			d.t.Fatalf("pop %d: wheel fired ID %d, heap seq %d", i, d.fired[i], want[i])
 		}
 	}
 	if d.e.Pending() != d.h.len() {
@@ -156,12 +159,22 @@ func FuzzWheelVsHeap(f *testing.F) {
 	})
 }
 
+// TestEventIs32Bytes pins the queued event's size: the wheel moves
+// events by value on every push, cascade and pop, and a wider event
+// (say, one carrying a payload word beside the handler) measurably
+// slows every simulation. State an event needs belongs in its target.
+func TestEventIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Fatalf("event is %d bytes, want 32 ({at, seq, handler})", n)
+	}
+}
+
 // --- Halt semantics -------------------------------------------------
 
 func TestHaltBeforeRunIsHonored(t *testing.T) {
 	e := New()
 	ran := false
-	e.At(5, func() { ran = true })
+	e.At(5, call(func() { ran = true }))
 	e.Halt()
 	if end := e.Run(); end != 0 {
 		t.Fatalf("halted Run advanced the clock to %v", end)
@@ -181,7 +194,7 @@ func TestHaltBeforeRunIsHonored(t *testing.T) {
 func TestHaltBeforeRunUntilIsHonored(t *testing.T) {
 	e := New()
 	ran := false
-	e.At(5, func() { ran = true })
+	e.At(5, call(func() { ran = true }))
 	e.Halt()
 	if end := e.RunUntil(100); end != 0 {
 		t.Fatalf("halted RunUntil advanced the clock to %v", end)
@@ -198,12 +211,12 @@ func TestHaltInsideCallbackStillStops(t *testing.T) {
 	e := New()
 	count := 0
 	for i := Time(1); i <= 10; i++ {
-		e.At(i, func() {
+		e.At(i, call(func() {
 			count++
 			if count == 3 {
 				e.Halt()
 			}
-		})
+		}))
 	}
 	e.Run()
 	if count != 3 || e.Pending() != 7 {
@@ -216,20 +229,22 @@ func TestHaltInsideCallbackStillStops(t *testing.T) {
 	}
 }
 
-// --- Closure retention and the shrink policy ------------------------
+// --- Handler retention and the shrink policy ------------------------
 
-// retainable is a finalizer-carrying allocation captured by event
-// closures; its collection proves the queue dropped the closure.
+// retainable is a finalizer-carrying event target; its collection
+// proves the queue dropped every reference to it.
 type retainable struct{ payload [1 << 16]byte }
 
-// scheduleRetainable schedules n events whose closures capture a fresh
-// retainable, in its own function so the test frame holds no live
-// reference afterwards.
+func (*retainable) Fire(EventID) {}
+
+// scheduleRetainable schedules n events targeting a fresh retainable,
+// in its own function so the test frame holds no live reference
+// afterwards.
 func scheduleRetainable(e *Engine, n int, at Time, freed chan struct{}) {
 	p := &retainable{}
 	runtime.SetFinalizer(p, func(*retainable) { close(freed) })
 	for i := 0; i < n; i++ {
-		e.At(at+Time(i%3), func() { _ = p })
+		e.At(at+Time(i%3), p)
 	}
 }
 
@@ -244,14 +259,14 @@ func waitFreed(t *testing.T, freed chan struct{}, what string) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	t.Fatalf("%s: drained engine still retains event closures", what)
+	t.Fatalf("%s: drained engine still retains a fired event target", what)
 }
 
 // TestDrainedEngineReleasesClosures is the regression test for the
-// event-closure retention bug: popped events' fn closures stayed
-// reachable from the queue's backing storage until a later push
-// happened to overwrite the slot, pinning everything the closures
-// captured. A drained engine must hold no live closures.
+// event-retention bug (first seen with closure events): popped events
+// stayed reachable from the queue's backing storage until a later push
+// happened to overwrite the slot, pinning their targets and everything
+// those reference. A drained engine must hold no fired handler.
 func TestDrainedEngineReleasesClosures(t *testing.T) {
 	e := New()
 	freed := make(chan struct{})
@@ -279,20 +294,35 @@ func TestCascadeReleasesClosures(t *testing.T) {
 // TestWheelShrinkPolicy checks that a one-off burst does not pin its
 // high-water storage: a slot whose backing array grew past
 // slotShrinkCap releases it once drained, while ordinary slots keep
-// their (small) storage for reuse.
+// their (small) storage for reuse — on the slot at level 0, on the
+// level's spare stack for the coarse buckets a cascade drains.
 func TestWheelShrinkPolicy(t *testing.T) {
 	e := New()
 	const burst = slotShrinkCap * 2
 	for i := 0; i < burst; i++ {
-		e.At(100, func() {})
+		e.At(100, call(func() {}))
+		e.At(1<<20, call(func() {})) // two levels up: drains by cascading
 	}
-	e.At(7, func() {})
+	e.At(7, call(func() {}))
+	e.At(1<<21, call(func() {}))
 	e.Run()
 	if s := &e.wheel.levels[0].slots[100]; s.events != nil {
 		t.Fatalf("burst slot kept cap %d after drain; want released", cap(s.events))
 	}
 	if s := &e.wheel.levels[0].slots[7]; s.events == nil || cap(s.events) == 0 {
 		t.Fatal("ordinary slot dropped its storage; want it kept for reuse")
+	}
+	kept := 0
+	for lvl := 1; lvl < wheelLevels; lvl++ {
+		for _, buf := range e.wheel.levels[lvl].spare {
+			if cap(buf) > slotShrinkCap {
+				t.Fatalf("level %d spare stack kept burst storage of cap %d; want released", lvl, cap(buf))
+			}
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("cascaded ordinary buckets dropped their storage; want it kept for reuse")
 	}
 }
 
@@ -304,7 +334,7 @@ func TestWheelSlotReuseAfterShrink(t *testing.T) {
 		at := e.Now() + 100
 		fired := 0
 		for i := 0; i < slotShrinkCap*2; i++ {
-			e.At(at, func() { fired++ })
+			e.At(at, call(func() { fired++ }))
 		}
 		e.Run()
 		if fired != slotShrinkCap*2 {

@@ -47,6 +47,34 @@ func (s *Sample) Mean() float64 {
 	return s.sum / float64(len(s.values))
 }
 
+// RunningMean accumulates a count and a sum: the mean of a stream
+// without storing it, for per-event observations whose distribution
+// nobody reads (the machines' realized preemption intervals). Its Mean
+// is bit-identical to a Sample's over the same Add sequence. The zero
+// value is ready to use.
+type RunningMean struct {
+	n   int
+	sum float64
+}
+
+// Add records one observation.
+func (m *RunningMean) Add(v float64) {
+	m.n++
+	m.sum += v
+}
+
+// Len reports the number of recorded observations.
+func (m RunningMean) Len() int { return m.n }
+
+// Mean returns the arithmetic mean, or 0 if no observations were
+// recorded.
+func (m RunningMean) Mean() float64 {
+	if m.n == 0 {
+		return 0
+	}
+	return m.sum / float64(m.n)
+}
+
 // Max returns the largest observation, or 0 if none were recorded.
 func (s *Sample) Max() float64 {
 	if len(s.values) == 0 {

@@ -15,6 +15,22 @@ func TestSampleEmpty(t *testing.T) {
 	}
 }
 
+func TestRunningMeanMatchesSample(t *testing.T) {
+	var m RunningMean
+	if m.Len() != 0 || m.Mean() != 0 {
+		t.Fatalf("empty RunningMean: len %d mean %v", m.Len(), m.Mean())
+	}
+	s := NewSample(0)
+	for i := 0; i < 1000; i++ {
+		v := 1e3/float64(i+3) + 0.1*float64(i%7)
+		m.Add(v)
+		s.Add(v)
+	}
+	if m.Len() != s.Len() || m.Mean() != s.Mean() {
+		t.Fatalf("RunningMean %d/%v, Sample %d/%v: want identical", m.Len(), m.Mean(), s.Len(), s.Mean())
+	}
+}
+
 func TestSampleMoments(t *testing.T) {
 	s := NewSample(4)
 	for _, v := range []float64{1, 2, 3, 4} {
