@@ -7,7 +7,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -53,17 +52,11 @@ type TQParams struct {
 	// RXQueue bounds the dispatcher's unprocessed-request backlog, in
 	// requests; arrivals beyond it drop as at a full NIC RX ring.
 	RXQueue int
-	// Trace, when non-nil, records the scheduling timeline (job
-	// arrivals, dispatches, quanta, completions) for inspection.
-	Trace *trace.Recorder
 	// RTT is the network round-trip added when reporting end-to-end
 	// latency.
 	RTT sim.Time
 	// Balancer picks the dispatcher policy.
 	Balancer BalancerKind
-	// Policy selects the worker's quantum-scheduling order: processor
-	// sharing (default) or least attained service.
-	Policy WorkerPolicy
 	// Dispatchers is the number of dispatcher cores (§6 extension);
 	// incoming requests are RSS-steered across them and each runs the
 	// balancing policy over a shared view. Zero means one.
@@ -76,10 +69,9 @@ type TQParams struct {
 	// timing by giving classes wrong quanta (1µs for GET, 3µs for
 	// SCAN against a 2µs target, §5.4).
 	QuantumForClass func(workload.Class) sim.Time
-	// Discipline, when non-empty, overrides the worker queue order with
-	// a pifo discipline by name (pifo.Names); it supersedes Policy.
-	// Empty keeps the Policy default: rr (round-robin PS) for PolicyPS,
-	// las for PolicyLAS — both bit-identical to the pre-pifo queues.
+	// Discipline names the workers' quantum-scheduling order, a pifo
+	// discipline (pifo.Names). Empty means rr: round-robin processor
+	// sharing, the paper's TQ worker. NewTQLAS selects las.
 	Discipline string
 }
 
@@ -129,10 +121,10 @@ func (t *TQ) Named(name string) *TQ { t.name = name; return t }
 func (t *TQ) Name() string { return t.name }
 
 // tqWorker is one simulated worker core. Both queues are pifo heaps
-// under the run's discipline: runnable replaces the old FIFO/LASQueue
-// pair (rr reproduces FIFO's order exactly, las the LASQueue's), and
-// waiting stays effectively FIFO under the defaults because dispatch
-// pushes are monotonic in time.
+// under the run's discipline: runnable orders the busy coroutines (rr
+// is round-robin PS, las least attained service), and waiting stays
+// effectively FIFO under the defaults because dispatch pushes are
+// monotonic in time.
 //
 // The worker is also the target of its own quantum events: while
 // running, exactly one is in flight, and the quantum it closes is
@@ -240,14 +232,10 @@ func (t *TQ) RunMeasured(cfg RunConfig) (*Result, stats.RunningMean) {
 // the generator draw (and discards it) so both forms see the same
 // per-seed stream layout.
 func (t *TQ) newRun(cfg RunConfig) (*tqRun, *workload.Stream) {
-	def := pifo.RR
-	if t.P.Policy == PolicyLAS {
-		def = pifo.LAS
-	}
 	r := &tqRun{
 		m:       t,
 		rand:    rng.New(cfg.Seed),
-		rank:    newRanker(parseDiscipline(t.P.Discipline, def), cfg),
+		rank:    newRanker(parseDiscipline(t.P.Discipline, pifo.RR), cfg),
 		workers: make([]tqWorker, t.P.Workers),
 		tracker: core.NewLoadTracker(t.P.Workers, 32),
 	}
@@ -296,13 +284,6 @@ func (t *TQ) NewNode(eng *sim.Engine, cfg RunConfig) Node {
 	return r
 }
 
-// emit records a trace event when tracing is enabled.
-func (r *tqRun) emit(e trace.Event) {
-	if r.m.P.Trace != nil {
-		r.m.P.Trace.Emit(e)
-	}
-}
-
 // refreshView re-reads worker counters if the dispatcher's view is
 // older than StatsPeriod, modelling §4's periodic counter reads with
 // their inherent staleness.
@@ -338,16 +319,6 @@ func (r *tqRun) inflate(s sim.Time) sim.Time {
 	return s + sim.Time(float64(s)*r.m.P.ProbeOverhead)
 }
 
-// observeArrive/observeDrop mirror the kernel's arrival path into the
-// legacy trace recorder when one is attached.
-func (r *tqRun) observeArrive(req workload.Request) {
-	r.emit(trace.Event{T: r.eng.Now(), Kind: trace.Arrive, Job: req.ID, Class: int(req.Class), Worker: -1})
-}
-
-func (r *tqRun) observeDrop(req workload.Request) {
-	r.emit(trace.Event{T: r.eng.Now(), Kind: trace.Drop, Job: req.ID, Class: int(req.Class), Worker: -1})
-}
-
 // admit implements machinePolicy: the dispatcher, a serial server,
 // spends DispatchCost on the request and then forwards it. The RX-ring
 // slot is held until the dispatcher picks the request up.
@@ -372,7 +343,6 @@ func (r *tqRun) dispatch(j *job) {
 	w := r.bal.Pick(r.tracker)
 	r.tracker.Assign(w)
 	j.worker = w
-	r.emit(trace.Event{T: r.eng.Now(), Kind: trace.Dispatch, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(r.eng.Now(), obs.Dispatch, j.id, j.class, int32(w))
 	wk := &r.workers[w]
 	wk.waiting.Push(j, r.rank.rank(j, r.eng.Now()))
@@ -432,7 +402,6 @@ func (r *tqRun) step(w int) {
 	// sojourn, so Finish and QuantumEnd share one timestamp.
 	now := r.eng.Now()
 	end := now + admitCost + slice
-	r.emit(trace.Event{T: now + admitCost, Kind: trace.QuantumStart, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(now+admitCost, obs.QuantumStart, j.id, j.class, int32(w))
 	wk.j, wk.slice, wk.q, wk.end = j, slice, q, end
 	r.eng.After(admitCost+slice+r.m.P.YieldOverhead, wk)
@@ -446,7 +415,6 @@ func (r *tqRun) step(w int) {
 func (r *tqRun) quantumEnd(wk *tqWorker) {
 	j, slice, q, end, w := wk.j, wk.slice, wk.q, wk.end, wk.w
 	wk.j = nil
-	r.emit(trace.Event{T: end, Kind: trace.QuantumEnd, Job: j.id, Class: int(j.class), Worker: w})
 	r.met.emit(end, obs.QuantumEnd, j.id, j.class, int32(w))
 	if slice >= q && j.remain > q {
 		// A true preemption: the realized interval includes the
@@ -462,7 +430,6 @@ func (r *tqRun) quantumEnd(wk *tqWorker) {
 		wk.curQuanta -= j.quanta
 		wk.finished++
 		wk.idle++
-		r.emit(trace.Event{T: end, Kind: trace.Finish, Job: j.id, Class: int(j.class), Worker: w})
 		r.met.emit(end, obs.Finish, j.id, j.class, int32(w))
 		r.met.record(j, end)
 		r.pool.put(j)

@@ -3,10 +3,9 @@
 // models (internal/cluster) and the live goroutine runtime
 // (internal/tqrt):
 //
-//   - FIFO: the processor-sharing run queue used by TQ workers (§3.2)
-//     and the FCFS queue used by the Caladan baseline;
-//   - LASQueue: a least-attained-service queue, the dynamic-quantum
-//     policy the probe mechanism is designed to support (§3.1);
+//   - FIFO: the allocation-free ring queue behind the unranked op
+//     queues (the TQ dispatcher, Shinjuku, Caladan); ranked worker
+//     run queues live in internal/pifo;
 //   - LoadTracker: the dispatcher's view of per-worker load, recovered
 //     from wrapping worker-side counters by delta reads (§4);
 //   - Balancer implementations: JSQ (with pluggable tie-breaking,
@@ -16,9 +15,9 @@ package core
 
 import "repro/internal/rng"
 
-// FIFO is an allocation-free ring-buffer queue. TQ's per-worker
-// processor-sharing scheduler is exactly this structure: yielded
-// coroutines enqueue at the tail and the head is resumed next (§4).
+// FIFO is an allocation-free ring-buffer queue for serial stages that
+// serve in arrival order: requests enqueue at the tail and the head is
+// served next.
 type FIFO[T any] struct {
 	buf  []T
 	head int
@@ -51,15 +50,6 @@ func (q *FIFO[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// Peek returns the head without removing it.
-func (q *FIFO[T]) Peek() (T, bool) {
-	var zero T
-	if q.size == 0 {
-		return zero, false
-	}
-	return q.buf[q.head], true
-}
-
 func (q *FIFO[T]) grow() {
 	n := len(q.buf) * 2
 	if n == 0 {
@@ -71,78 +61,6 @@ func (q *FIFO[T]) grow() {
 	}
 	q.buf = nb
 	q.head = 0
-}
-
-// LASQueue orders jobs by least attained service, approximating SRPT
-// without service-time knowledge. Push records a job with its attained
-// service; Pop returns the job that has received the least so far.
-// It is a binary min-heap keyed by (attained, seq) so that ties resolve
-// in insertion order, keeping runs deterministic.
-type LASQueue[T any] struct {
-	items []lasItem[T]
-	seq   uint64
-}
-
-type lasItem[T any] struct {
-	attained int64
-	seq      uint64
-	v        T
-}
-
-// Len reports the number of queued jobs.
-func (q *LASQueue[T]) Len() int { return len(q.items) }
-
-// Push inserts v with the given attained service.
-func (q *LASQueue[T]) Push(v T, attained int64) {
-	q.seq++
-	q.items = append(q.items, lasItem[T]{attained: attained, seq: q.seq, v: v})
-	i := len(q.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q.items[i], q.items[p] = q.items[p], q.items[i]
-		i = p
-	}
-}
-
-func (q *LASQueue[T]) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
-	if a.attained != b.attained {
-		return a.attained < b.attained
-	}
-	return a.seq < b.seq
-}
-
-// Pop removes and returns the job with least attained service.
-func (q *LASQueue[T]) Pop() (T, int64, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, 0, false
-	}
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items[last] = lasItem[T]{} // release for GC
-	q.items = q.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < len(q.items) && q.less(l, min) {
-			min = l
-		}
-		if r < len(q.items) && q.less(r, min) {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		q.items[i], q.items[min] = q.items[min], q.items[i]
-		i = min
-	}
-	return top.v, top.attained, true
 }
 
 // View is what a Balancer may observe about worker load — the

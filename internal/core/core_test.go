@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -55,21 +56,6 @@ func TestFIFOInterleaved(t *testing.T) {
 	}
 }
 
-func TestFIFOPeek(t *testing.T) {
-	var q FIFO[string]
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty returned ok")
-	}
-	q.Push("a")
-	q.Push("b")
-	if v, ok := q.Peek(); !ok || v != "a" {
-		t.Fatalf("Peek = (%q, %v), want (a, true)", v, ok)
-	}
-	if q.Len() != 2 {
-		t.Fatal("Peek consumed an element")
-	}
-}
-
 func TestFIFOWraparoundGrowth(t *testing.T) {
 	// Force growth while head is in the middle of the ring.
 	var q FIFO[int]
@@ -87,59 +73,6 @@ func TestFIFOWraparoundGrowth(t *testing.T) {
 		if !ok || v != want {
 			t.Fatalf("got (%d,%v), want (%d,true)", v, ok, want)
 		}
-	}
-}
-
-func TestLASQueueOrdering(t *testing.T) {
-	var q LASQueue[string]
-	q.Push("c", 30)
-	q.Push("a", 10)
-	q.Push("b", 20)
-	wantOrder := []string{"a", "b", "c"}
-	wantAtt := []int64{10, 20, 30}
-	for i := range wantOrder {
-		v, att, ok := q.Pop()
-		if !ok || v != wantOrder[i] || att != wantAtt[i] {
-			t.Fatalf("pop %d = (%v,%d,%v)", i, v, att, ok)
-		}
-	}
-	if _, _, ok := q.Pop(); ok {
-		t.Fatal("Pop on empty LAS queue returned ok")
-	}
-}
-
-func TestLASQueueTiesFIFO(t *testing.T) {
-	var q LASQueue[int]
-	for i := 0; i < 10; i++ {
-		q.Push(i, 5)
-	}
-	for i := 0; i < 10; i++ {
-		v, _, _ := q.Pop()
-		if v != i {
-			t.Fatalf("ties not FIFO: got %d at position %d", v, i)
-		}
-	}
-}
-
-func TestLASQueueProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		var q LASQueue[int]
-		for i := 0; i < 100; i++ {
-			q.Push(i, int64(r.Uint64n(50)))
-		}
-		prev := int64(-1)
-		for q.Len() > 0 {
-			_, att, _ := q.Pop()
-			if att < prev {
-				return false
-			}
-			prev = att
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -293,6 +226,44 @@ func TestLoadTrackerCounterWrap(t *testing.T) {
 		if got := lt.QueueLen(0); got != 0 {
 			t.Fatalf("step %d: QueueLen = %d, want 0", i, got)
 		}
+	}
+}
+
+func TestLoadTrackerWraparoundProperty(t *testing.T) {
+	// Property: for any sequence of worker-side increments each smaller
+	// than the counter modulus, delta reads recover the exact finished
+	// total.
+	f := func(seed uint64, width8 uint8) bool {
+		width := uint(width8%12) + 4 // widths 4..15
+		r := rng.New(seed)
+		lt := NewLoadTracker(1, width)
+		mask := uint64(1)<<width - 1
+		var raw, total uint64
+		for i := 0; i < 200; i++ {
+			inc := r.Uint64n(mask)
+			raw = (raw + inc) & mask
+			total += inc
+			lt.ObserveFinished(0, raw)
+			if lt.finished[0] != total {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestLoadTracker64BitWidth(t *testing.T) {
+	// A full-width counter has no mask: the delta must still be taken
+	// modulo 2^64 when the raw value wraps past zero.
+	lt := NewLoadTracker(1, 64)
+	lt.ObserveFinished(0, math.MaxUint64-5)
+	before := lt.finished[0]
+	lt.ObserveFinished(0, 4) // advanced by 10, wrapping the 64-bit space
+	if got := lt.finished[0] - before; got != 10 {
+		t.Fatalf("64-bit wraparound delta = %d, want 10", got)
 	}
 }
 

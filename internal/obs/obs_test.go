@@ -32,6 +32,36 @@ func TestRingCapAndTruncation(t *testing.T) {
 	}
 }
 
+func TestRingTruncationIsCountedAndSound(t *testing.T) {
+	// A ring that never hits its cap reports a complete timeline.
+	full := NewRing(10)
+	for _, e := range lifecycle(1, 0, 0) {
+		full.Emit(e)
+	}
+	if full.Truncated() || full.Discarded() != 0 {
+		t.Fatalf("uncapped recording reports truncation: %v/%d", full.Truncated(), full.Discarded())
+	}
+
+	// Cap right after the first QuantumEnd: the ProbeYield that explains
+	// it falls past the cap. The discard is counted, the recording is a
+	// prefix, and Validate still accepts it — a task whose later events
+	// fell past the cap is not a violation.
+	capped := NewRing(4)
+	for _, e := range lifecycle(1, 0, 0) {
+		capped.Emit(e)
+	}
+	if !capped.Truncated() || capped.Discarded() != 4 || capped.Len() != 4 {
+		t.Fatalf("truncated=%v discarded=%d len=%d, want true/4/4",
+			capped.Truncated(), capped.Discarded(), capped.Len())
+	}
+	if last := capped.Events()[3].Kind; last != QuantumEnd {
+		t.Fatalf("capped prefix ends with %v, want qend", last)
+	}
+	if err := Validate(capped.Events()); err != nil {
+		t.Fatalf("capped prefix rejected: %v", err)
+	}
+}
+
 func TestRingZeroValueAndZeroAlloc(t *testing.T) {
 	var r Ring
 	r.Emit(Event{T: 1})

@@ -3,6 +3,7 @@ package pifo
 import (
 	"sort"
 	"testing"
+	"testing/quick"
 )
 
 // lcg is the test's deterministic rank source.
@@ -73,6 +74,31 @@ func TestQueueInterleavedTies(t *testing.T) {
 		if v, _, _ := q.Pop(); v != want {
 			t.Fatalf("pop %d: got %q, want %q", i, v, want)
 		}
+	}
+}
+
+// TestQueueProperty is the randomized form of the ordering contract:
+// for any seed, random ranks pop in nondecreasing order, and equal
+// ranks pop in push order.
+func TestQueueProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		var q Queue[int]
+		r := lcg(seed)
+		for i := 0; i < 100; i++ {
+			q.Push(i, r.next()%50)
+		}
+		prevRank, prevV := int64(-1), -1
+		for q.Len() > 0 {
+			v, rank, _ := q.Pop()
+			if rank < prevRank || (rank == prevRank && v < prevV) {
+				return false
+			}
+			prevRank, prevV = rank, v
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
 

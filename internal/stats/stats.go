@@ -217,72 +217,6 @@ func (h *Histogram) FractionAbove(threshold float64) float64 {
 	return float64(above) / float64(h.total)
 }
 
-// Counter is an overflow-tolerant monotonic counter pair used to model
-// the worker-side statistics the TQ dispatcher reads (§4): the worker
-// increments regardless of wraparound and the reader tracks totals by
-// deltas. Width configures the simulated counter width in bits so tests
-// can exercise wraparound cheaply.
-type Counter struct {
-	width uint
-	value uint64
-}
-
-// NewCounter returns a counter that wraps at 2^width. Width must be in
-// [1, 64].
-func NewCounter(width uint) *Counter {
-	if width < 1 || width > 64 {
-		panic("stats: counter width out of range")
-	}
-	return &Counter{width: width}
-}
-
-// Inc adds n to the counter, wrapping at the configured width.
-func (c *Counter) Inc(n uint64) {
-	c.value += n
-	if c.width < 64 {
-		c.value &= (1 << c.width) - 1
-	}
-}
-
-// Load returns the raw (possibly wrapped) counter value.
-func (c *Counter) Load() uint64 { return c.value }
-
-// DeltaReader tracks the true total of a wrapping Counter by reading it
-// periodically and accumulating deltas, exactly as the TQ dispatcher
-// recovers unbounded totals from fixed-width worker counters. Reads must
-// happen before the counter advances by a full 2^width between them.
-type DeltaReader struct {
-	width uint
-	last  uint64
-	total uint64
-}
-
-// NewDeltaReader returns a reader for counters of the given width.
-func NewDeltaReader(width uint) *DeltaReader {
-	if width < 1 || width > 64 {
-		panic("stats: reader width out of range")
-	}
-	return &DeltaReader{width: width}
-}
-
-// Observe incorporates a raw counter reading and returns the recovered
-// monotonic total.
-func (r *DeltaReader) Observe(raw uint64) uint64 {
-	var delta uint64
-	if r.width == 64 {
-		delta = raw - r.last
-	} else {
-		mask := uint64(1)<<r.width - 1
-		delta = (raw - r.last) & mask
-	}
-	r.total += delta
-	r.last = raw
-	return r.total
-}
-
-// Total returns the recovered monotonic total so far.
-func (r *DeltaReader) Total() uint64 { return r.total }
-
 // Series is a labelled (x, y) sequence, the common currency of the
 // experiment drivers: one Series per curve in a paper figure.
 type Series struct {

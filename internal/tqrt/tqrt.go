@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/pifo"
 	"repro/internal/rng"
 )
 
@@ -180,10 +181,9 @@ type worker struct {
 	events chan event
 	rec    *obs.Ring // this worker's trace shard; nil when tracing is off
 	coros  []*coro
-	idle   []int // indices of idle coroutines
-	run    core.FIFO[int]
-	las    core.LASQueue[int]
-	useLAS bool
+	idle   []int           // indices of idle coroutines
+	run    pifo.Queue[int] // runnable coroutine slots, see pushRunnable
+	las    bool            // rank by attained quanta (Config.LAS)
 	// Worker-side statistics read by the dispatcher (§4): finished
 	// wraps naturally; quanta tracks quanta serviced for current
 	// tasks.
@@ -230,7 +230,7 @@ func New(cfg Config) *Runtime {
 			rt:     rt,
 			inbox:  make(chan taskMsg, cfg.QueueCap),
 			events: make(chan event),
-			useLAS: cfg.LAS,
+			las:    cfg.LAS,
 		}
 		if cfg.TraceCap > 0 {
 			w.rec = obs.NewRing(cfg.TraceCap)
@@ -485,7 +485,7 @@ func (w *worker) loop(wg *sync.WaitGroup) {
 			}
 		}
 	admitted:
-		if w.runnableLen() == 0 {
+		if w.run.Len() == 0 {
 			if !open {
 				for _, c := range w.coros {
 					close(c.tasks)
@@ -544,29 +544,20 @@ func (w *worker) admit(m taskMsg) {
 	w.pushRunnable(slot)
 }
 
-// pushRunnable and popRunnable order the run queue by the configured
-// policy: round-robin PS, or least attained service (in quanta).
+// pushRunnable enqueues a coroutine slot. Under LAS its rank is the
+// quanta it has attained; otherwise every rank is 0 and ties pop in
+// push order, which is round-robin processor sharing.
 func (w *worker) pushRunnable(slot int) {
-	if w.useLAS {
-		w.las.Push(slot, w.coros[slot].quanta)
-		return
+	var rank int64
+	if w.las {
+		rank = w.coros[slot].quanta
 	}
-	w.run.Push(slot)
+	w.run.Push(slot, rank)
 }
 
 func (w *worker) popRunnable() (int, bool) {
-	if w.useLAS {
-		slot, _, ok := w.las.Pop()
-		return slot, ok
-	}
-	return w.run.Pop()
-}
-
-func (w *worker) runnableLen() int {
-	if w.useLAS {
-		return w.las.Len()
-	}
-	return w.run.Len()
+	slot, _, ok := w.run.Pop()
+	return slot, ok
 }
 
 // loop is the coroutine body: wait for a task, run it (parking at

@@ -274,6 +274,37 @@ func TestLASPrefersFreshTasks(t *testing.T) {
 	}
 }
 
+// TestRunQueueOrder pins the worker's run-queue ranks: without LAS
+// every slot ranks 0 and pops in push order (round-robin PS); with LAS
+// the slot whose task has attained the fewest quanta pops first, ties
+// in push order.
+func TestRunQueueOrder(t *testing.T) {
+	attained := []int64{3, 0, 5, 0}
+	for _, tc := range []struct {
+		las  bool
+		want []int
+	}{
+		{false, []int{0, 1, 2, 3}},
+		{true, []int{1, 3, 0, 2}},
+	} {
+		w := &worker{las: tc.las}
+		for _, q := range attained {
+			w.coros = append(w.coros, &coro{quanta: q})
+		}
+		for slot := range w.coros {
+			w.pushRunnable(slot)
+		}
+		for i, want := range tc.want {
+			if got, ok := w.popRunnable(); !ok || got != want {
+				t.Fatalf("las=%v pop %d = (%d, %v), want (%d, true)", tc.las, i, got, ok, want)
+			}
+		}
+		if w.run.Len() != 0 {
+			t.Fatalf("las=%v: %d slots left after draining", tc.las, w.run.Len())
+		}
+	}
+}
+
 func TestLASCompletesEverything(t *testing.T) {
 	rt := New(Config{Workers: 2, Coroutines: 4, Quantum: 50 * time.Microsecond, LAS: true})
 	rt.Start()
